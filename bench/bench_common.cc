@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "src/common/check.h"
+#include "src/common/line_artifact.h"
 #include "src/common/serialization.h"
 #include "src/core/graph_io.h"
 #include "src/core/model_parser.h"
@@ -87,8 +88,7 @@ GMorphOptions DefaultSearchOptions(double threshold, uint64_t seed) {
 
 std::string CacheDir() {
   static const std::string dir = [] {
-    const char* env = std::getenv("GMORPH_CACHE_DIR");
-    std::string d = env != nullptr ? env : "gmorph_bench_cache";
+    std::string d = ResolveCacheDir();
     std::error_code ec;
     std::filesystem::create_directories(d, ec);
     return d;

@@ -6,12 +6,9 @@
 #include <utility>
 
 #include "src/analysis/dtype_analysis.h"
-#include "src/analysis/machine_verifier.h"
 #include "src/analysis/plan_io.h"
 #include "src/analysis/plan_verifier.h"
-#include "src/analysis/quant_verifier.h"
 #include "src/analysis/rules.h"
-#include "src/analysis/tunedb_verifier.h"
 #include "src/common/artifact_header.h"
 #include "src/common/check.h"
 #include "src/common/config.h"
@@ -20,6 +17,9 @@
 #include "src/core/model_parser.h"
 #include "src/core/search_checkpoint.h"
 #include "src/data/benchmarks.h"
+#include "src/kernels/machine.h"
+#include "src/kernels/tune_db.h"
+#include "src/quant/recipe.h"
 
 namespace gmorph {
 namespace {
@@ -262,13 +262,13 @@ AnalysisReport AnalyzeFile(const std::string& path, const AnalysisOptions& optio
     diags = VerifyCheckpointFile(path);
   } else if (kind == kTuneDbArtifact.kind) {
     report.input_kind = "tunedb";
-    diags = VerifyTuneDbFile(path);
+    diags = kernels::VerifyTuneDbFile(path);
   } else if (kind == kMachineArtifact.kind) {
     report.input_kind = "machine";
-    diags = VerifyMachineFile(path);
+    diags = kernels::VerifyMachineFile(path);
   } else if (kind == kQuantRecipeArtifact.kind) {
     report.input_kind = "quantrecipe";
-    diags = VerifyQuantRecipeFile(path);
+    diags = quant::VerifyQuantRecipeFile(path);
   } else {
     // Fall back to treating the file as a search config naming a benchmark
     // (or an input_graph to load).

@@ -1,9 +1,10 @@
-// Shared "gmorph-<kind> vN" header discipline for every text artifact the
-// project persists (plans, tuning DBs, quant recipes, eval-cache indexes,
-// search checkpoints). Each subsystem used to hand-roll the same three-way
-// check (missing header / wrong kind / wrong version) in both its loader and
-// its linter; routing all of them through this helper means the two can never
-// drift, and the CLI can sniff any artifact's kind from its first line.
+// Shared "gmorph-<kind> vN" header discipline for every artifact the project
+// persists (plans, tuning DBs, machine ceilings, quant recipes, eval-cache
+// indexes, search checkpoints), so the CLI can sniff any artifact's kind from
+// its first line. The line-based formats check their header only through the
+// line-artifact reader (src/common/line_artifact.h), whose one scan is both
+// loader and linter; plan_io and the checkpoint loader call the check here
+// directly.
 #ifndef GMORPH_SRC_COMMON_ARTIFACT_HEADER_H_
 #define GMORPH_SRC_COMMON_ARTIFACT_HEADER_H_
 
@@ -20,9 +21,7 @@ struct ArtifactHeaderSpec {
   int version;
 };
 
-// The canonical artifacts. The per-subsystem string constants that predate
-// this helper (kernels::kTuneDbHeader, quant::kQuantRecipeHeader, ...) are
-// asserted equal to ArtifactHeaderLine(<spec>) in the unit tests.
+// The canonical artifacts; writers emit ArtifactHeaderLine(<spec>).
 inline constexpr ArtifactHeaderSpec kPlanArtifact{"gmorph-plan", 1};
 inline constexpr ArtifactHeaderSpec kTuneDbArtifact{"gmorph-tunedb", 1};
 inline constexpr ArtifactHeaderSpec kQuantRecipeArtifact{"gmorph-quant", 1};

@@ -1,12 +1,11 @@
 #include "src/core/eval_cache.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
-#include "src/common/artifact_header.h"
+#include "src/common/line_artifact.h"
 #include "src/core/graph_io.h"
 
 namespace gmorph {
@@ -113,10 +112,8 @@ bool ParseEntryLine(const std::string& line, std::string& fingerprint,
     std::istringstream ss(scores);
     std::string cell;
     while (std::getline(ss, cell, ',')) {
-      std::istringstream cs(cell);
       double v = 0.0;
-      cs >> v;
-      if (!cs || !cs.eof()) {
+      if (!ParseStrictDouble(cell, &v)) {
         return false;
       }
       e.task_scores.push_back(v);
@@ -128,95 +125,58 @@ bool ParseEntryLine(const std::string& line, std::string& fingerprint,
   return true;
 }
 
-// Shared scan over one index file. `expected_options` null = accept any
-// options hash (the lint path); entries land in `out` keyed by fingerprint.
-void ScanIndexFile(const std::string& path, const uint64_t* expected_options,
-                   std::map<std::string, EvaluationCache::Entry>* out, DiagnosticList& diags) {
-  std::ifstream in(path);
-  if (!in) {
-    diags.Error("cache.open", path) << "cannot open evaluation cache file";
-    return;
-  }
-  std::string line;
-  if (!std::getline(in, line)) {
-    diags.Error("cache.header", path) << "empty evaluation cache file";
-    return;
-  }
-  switch (CheckArtifactHeaderLine(line, kEvalCacheArtifact)) {
-    case HeaderCheck::kMissing:
-      diags.Error("cache.header", path) << "missing " << kEvalCacheArtifact.kind << " header";
-      return;
-    case HeaderCheck::kWrongVersion:
-      diags.Error("cache.version", path) << "unsupported cache version '" << line << "'";
-      return;
-    case HeaderCheck::kOk:
-      break;
-  }
-  int lineno = 1;
+const LineArtifactFormat kEvalCacheFormat{kEvalCacheArtifact, "cache", "evaluation cache"};
+
+struct IndexScan : LineScan {
+  std::map<std::string, EvaluationCache::Entry> entries;  // by fingerprint; the last line wins
+};
+
+// The one scan over an index file, for the loader and the linter alike.
+// `expected_options` null = accept any options hash (the lint path).
+IndexScan ScanIndexFile(const std::string& path, const uint64_t* expected_options) {
+  IndexScan scan;
   bool saw_options = false;
-  while (std::getline(in, line)) {
-    ++lineno;
+  ScanLineArtifact(path, kEvalCacheFormat, scan, [&](int lineno, const std::string& line) {
     const std::string where = path + ":" + std::to_string(lineno);
-    if (line.empty()) {
-      continue;
-    }
     if (line.rfind("options ", 0) == 0) {
       uint64_t hash = 0;
       std::istringstream os(line.substr(8));
       os >> std::hex >> hash;
       if (!os) {
-        diags.Error("cache.options", where) << "malformed options hash";
-        continue;
+        scan.diags.Error("cache.options", where) << "malformed options hash";
+        return;
       }
       saw_options = true;
       if (expected_options != nullptr && hash != *expected_options) {
-        diags.Error("cache.options", where)
+        scan.diags.Error("cache.options", where)
             << "options hash " << FormatHex(hash) << " does not match expected "
             << FormatHex(*expected_options);
       }
-      continue;
+      return;
     }
     if (line.rfind("entry", 0) == 0) {
       std::string fingerprint;
       EvaluationCache::Entry e;
       if (!ParseEntryLine(line, fingerprint, e)) {
-        diags.Error("cache.entry", where) << "malformed cache entry";
-        continue;
+        scan.diags.Error("cache.entry", where) << "malformed cache entry";
+        return;
       }
       if (e.met_target && e.graph_file.empty()) {
-        diags.Error("cache.entry", where) << "met-target entry without a trained graph file";
-        continue;
+        scan.diags.Error("cache.entry", where) << "met-target entry without a trained graph file";
+        return;
       }
-      if (out != nullptr) {
-        (*out)[fingerprint] = std::move(e);
-      }
-      continue;
+      scan.entries[fingerprint] = std::move(e);
+      return;
     }
-    diags.Error("cache.entry", where) << "unrecognized line";
+    scan.diags.Error("cache.entry", where) << "unrecognized line";
+  });
+  if (scan.readable && !saw_options) {
+    scan.diags.Error("cache.options", path) << "missing options line";
   }
-  if (!saw_options) {
-    diags.Error("cache.options", path) << "missing options line";
-  }
+  return scan;
 }
 
 }  // namespace
-
-uint64_t Fnv1aHash(std::string_view bytes) {
-  uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
-std::string EvaluationCache::ResolveDir(const std::string& override_dir) {
-  if (!override_dir.empty()) {
-    return override_dir;
-  }
-  const char* env = std::getenv("GMORPH_CACHE_DIR");
-  return env != nullptr && env[0] != '\0' ? env : "gmorph_bench_cache";
-}
 
 EvaluationCache::EvaluationCache(std::string dir, uint64_t options_hash)
     : dir_(std::move(dir)), options_hash_(options_hash) {
@@ -224,7 +184,9 @@ EvaluationCache::EvaluationCache(std::string dir, uint64_t options_hash)
   std::filesystem::create_directories(dir_, ec);
   index_path_ = dir_ + "/evalcache_" + FormatHex(options_hash_) + ".txt";
   if (std::filesystem::exists(index_path_, ec)) {
-    ScanIndexFile(index_path_, &options_hash_, &entries_, load_diagnostics_);
+    IndexScan scan = ScanIndexFile(index_path_, &options_hash_);
+    entries_ = std::move(scan.entries);
+    load_diagnostics_ = std::move(scan.diags);
     header_written_ = load_diagnostics_.ok() || !entries_.empty();
   }
 }
@@ -277,11 +239,10 @@ void EvaluationCache::Store(const std::string& fingerprint, const Entry& entry,
 }
 
 DiagnosticList VerifyEvalCacheFile(const std::string& path) {
-  DiagnosticList diags;
-  std::map<std::string, EvaluationCache::Entry> entries;
-  ScanIndexFile(path, /*expected_options=*/nullptr, &entries, diags);
+  IndexScan scan = ScanIndexFile(path, /*expected_options=*/nullptr);
+  DiagnosticList& diags = scan.diags;
   const std::string dir = std::filesystem::path(path).parent_path().string();
-  for (const auto& [fingerprint, e] : entries) {
+  for (const auto& [fingerprint, e] : scan.entries) {
     if (e.graph_file.empty()) {
       continue;
     }
@@ -298,7 +259,7 @@ DiagnosticList VerifyEvalCacheFile(const std::string& path) {
     }
   }
   if (diags.ok()) {
-    diags.Note("cache.summary", path) << entries.size() << " cache entries verified";
+    diags.Note("cache.summary", path) << scan.entries.size() << " cache entries verified";
   }
   return diags;
 }

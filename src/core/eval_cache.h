@@ -8,15 +8,18 @@
 // (AbsGraph::Fingerprint(), the same string the GraphVerifier round-trip
 // checks) under a namespace derived from the eval-relevant options hash, and
 // persists it as a "gmorph-evalcache v1" text file in the cache directory
-// (GMORPH_CACHE_DIR, default "gmorph_bench_cache") so outcomes survive the
-// process.
+// (ResolveCacheDir(): GMORPH_CACHE_DIR, default "gmorph_bench_cache") so
+// outcomes survive the process.
 //
 // Safety: a lookup only reuses an entry whose stored fingerprint matches the
 // candidate's exactly (hash collisions cannot alias), and a stored trained
 // graph is reloaded through graph_io — which re-runs the GraphVerifier — and
 // must fingerprint-match the candidate, else the entry degrades to a miss.
 // Corrupt cache files surface as cache.* diagnostics (see VerifyEvalCacheFile
-// and `gmorph_cli --verify`), never as a crash or a poisoned search.
+// and `gmorph_cli --verify`), never as a crash or a poisoned search. The
+// loader is the linter: both run one scan (src/common/line_artifact.h). The
+// loader keeps every well-formed entry, records the findings in
+// load_diagnostics(), and also checks the options line against its own hash.
 #ifndef GMORPH_SRC_CORE_EVAL_CACHE_H_
 #define GMORPH_SRC_CORE_EVAL_CACHE_H_
 
@@ -24,16 +27,12 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "src/analysis/diagnostics.h"
+#include "src/common/diagnostics.h"
 #include "src/core/abs_graph.h"
 
 namespace gmorph {
-
-// FNV-1a over bytes; used for cache keys and option-namespace hashes.
-uint64_t Fnv1aHash(std::string_view bytes);
 
 class EvaluationCache {
  public:
@@ -68,13 +67,8 @@ class EvaluationCache {
   void Store(const std::string& fingerprint, const Entry& entry, const AbsGraph* trained_graph);
 
   size_t size() const { return entries_.size(); }
-  const std::string& dir() const { return dir_; }
   const std::string& index_path() const { return index_path_; }
   const DiagnosticList& load_diagnostics() const { return load_diagnostics_; }
-
-  // Resolves the cache directory: `override_dir` if non-empty, else
-  // $GMORPH_CACHE_DIR, else "gmorph_bench_cache".
-  static std::string ResolveDir(const std::string& override_dir);
 
  private:
   std::string dir_;

@@ -1,13 +1,13 @@
 #include "src/kernels/machine.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
+#include <limits>
+#include <map>
 #include <sstream>
 #include <vector>
 
+#include "src/common/line_artifact.h"
 #include "src/common/parallel_for.h"
 #include "src/kernels/registry.h"
 #include "src/kernels/tune_db.h"
@@ -70,89 +70,90 @@ MachineCeilings ProbeMachineCeilings() {
   return out;
 }
 
-bool ParseMachineEntryLine(const std::string& line, std::string* key, double* value,
-                           std::string* error) {
-  std::istringstream in(line);
-  std::string k;
-  double v = 0.0;
-  if (!(in >> k >> v)) {
-    *error = "malformed machine entry (want '<key> <value>'): '" + line + "'";
-    return false;
+namespace {
+
+const LineArtifactFormat kMachineFormat{kMachineArtifact, "machine", "machine ceiling",
+                                        &BuildFingerprint, "this binary will re-probe"};
+
+// Everything one pass over a machine-ceiling file finds.
+struct MachineScan : LineScan {
+  MachineCeilings ceilings;  // flagged values read as 0
+};
+
+MachineScan ScanMachineFile(const std::string& path) {
+  MachineScan scan;
+  std::map<std::string, int> first_line;  // key -> line that introduced it
+  ScanLineArtifact(path, kMachineFormat, scan, [&](int lineno, const std::string& line) {
+    const std::string where = LineLocation(lineno);
+    std::istringstream in(line);
+    std::string key, text, trailing;
+    double value = 0.0;
+    if (!(in >> key >> text) || !ParseStrictDouble(text, &value)) {
+      scan.diags.Error("machine.entry", where)
+          << "malformed machine entry (want '<key> <value>'): '" << line << "'";
+      return;
+    }
+    if (in >> trailing) {
+      scan.diags.Error("machine.entry", where)
+          << "trailing content after machine entry value: '" << trailing << "'";
+      return;
+    }
+    const bool threads = key == "threads";
+    if (!threads && key != "peak_gflops" && key != "triad_gbps") {
+      scan.diags.Error("machine.entry", where) << "unknown machine entry key '" << key << "'";
+      return;
+    }
+    if (!(value > 0.0 && std::isfinite(value)) ||
+        (threads && (value != std::floor(value) || value > std::numeric_limits<int>::max()))) {
+      scan.diags.Error("machine.value", where)
+          << key
+          << (threads ? " must be a positive integer that fits in int" : " must be positive finite")
+          << ", got " << text;
+      value = 0.0;
+    }
+    MachineCeilings& c = scan.ceilings;
+    if (threads) {
+      c.threads = static_cast<int>(value);
+    } else {
+      (key == "peak_gflops" ? c.peak_gflops : c.triad_gbps) = value;
+    }
+    const auto [it, inserted] = first_line.emplace(key, lineno);
+    if (!inserted) {
+      scan.diags.Error("machine.entry", where)
+          << "repeated " << key << " entry (first at line " << it->second << ")";
+    }
+  });
+  if (scan.readable) {
+    for (const char* required : {"threads", "peak_gflops", "triad_gbps"}) {
+      if (first_line.find(required) == first_line.end()) {
+        scan.diags.Error("machine.missing", path) << "required entry '" << required << "' absent";
+      }
+    }
   }
-  std::string trailing;
-  if (in >> trailing) {
-    *error = "trailing content after machine entry value: '" + trailing + "'";
-    return false;
-  }
-  if (k != "threads" && k != "peak_gflops" && k != "triad_gbps") {
-    *error = "unknown machine entry key '" + k + "'";
-    return false;
-  }
-  *key = k;
-  *value = v;
-  return true;
+  return scan;
 }
 
+}  // namespace
+
 MachineLoadResult LoadMachineCeilings(const std::string& path) {
+  const MachineScan scan = ScanMachineFile(path);
   MachineLoadResult result;
-  std::ifstream in(path);
-  if (!in) {
-    return result;
-  }
-  std::string line;
-  if (!std::getline(in, line) || line != kMachineHeader) {
-    return result;
-  }
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') {
-      continue;
-    }
-    if (line.rfind("fingerprint ", 0) == 0) {
-      if (line.substr(12) != BuildFingerprint()) {
-        result.fingerprint_mismatch = true;
-      }
-      continue;
-    }
-    std::string key, error;
-    double value = 0.0;
-    if (!ParseMachineEntryLine(line, &key, &value, &error)) {
-      continue;  // tolerant loader: the linter reports these
-    }
-    if (key == "threads") {
-      result.ceilings.threads = static_cast<int>(value);
-    } else if (key == "peak_gflops") {
-      result.ceilings.peak_gflops = value;
-    } else if (key == "triad_gbps") {
-      result.ceilings.triad_gbps = value;
-    }
-  }
-  result.ok = result.ceilings.valid();
+  result.ceilings = scan.ceilings;
+  result.ok = scan.ceilings.valid();
+  result.fingerprint_mismatch = scan.foreign;
   return result;
 }
 
+DiagnosticList VerifyMachineFile(const std::string& path) { return ScanMachineFile(path).diags; }
+
 bool SaveMachineCeilings(const std::string& path, const MachineCeilings& ceilings) {
-  std::error_code ec;
-  const std::filesystem::path target(path);
-  if (target.has_parent_path()) {
-    std::filesystem::create_directories(target.parent_path(), ec);
-  }
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) {
-      return false;
-    }
-    out << kMachineHeader << "\n";
-    out << "fingerprint " << BuildFingerprint() << "\n";
-    out << "threads " << ceilings.threads << "\n";
-    out << "peak_gflops " << ceilings.peak_gflops << "\n";
-    out << "triad_gbps " << ceilings.triad_gbps << "\n";
-    if (!out.good()) {
-      return false;
-    }
-  }
-  std::filesystem::rename(tmp, target, ec);
-  return !ec;
+  std::ostringstream out;
+  out << ArtifactHeaderLine(kMachineArtifact) << "\n";
+  out << "fingerprint " << BuildFingerprint() << "\n";
+  out << "threads " << ceilings.threads << "\n";
+  out << "peak_gflops " << ceilings.peak_gflops << "\n";
+  out << "triad_gbps " << ceilings.triad_gbps << "\n";
+  return WriteFileAtomically(path, out.str());
 }
 
 MachineCeilings LoadOrProbeMachineCeilings(const std::string& path, bool* probed) {
@@ -179,11 +180,7 @@ std::string ResolveMachinePath(const std::string& override_path) {
   if (const char* env = std::getenv("GMORPH_MACHINE_DB"); env != nullptr && *env != '\0') {
     return env;
   }
-  std::string dir = "gmorph_bench_cache";
-  if (const char* env = std::getenv("GMORPH_CACHE_DIR"); env != nullptr && *env != '\0') {
-    dir = env;
-  }
-  return dir + "/gmorph.machine";
+  return ResolveCacheDir() + "/gmorph.machine";
 }
 
 }  // namespace gmorph::kernels

@@ -14,18 +14,22 @@
 //
 // The fingerprint is the tuning DB's BuildFingerprint() (compiler + flags +
 // target), so ceilings measured by a foreign build are re-probed rather than
-// trusted — -O0 "ceilings" would misclassify every step. The strict linter
-// (`gmorph_cli --verify`, machine.* rules) shares ParseMachineEntryLine with
-// the loader so the two can never drift.
+// trusted — -O0 "ceilings" would misclassify every step.
+//
+// The loader is the linter: one scan (src/common/line_artifact.h) both reads
+// the ceilings and reports every machine.* finding. A value the scan flags
+// (machine.value: not positive finite, or a threads count that is not a
+// positive integer fitting in int) reads as 0, and the loader's policy is that
+// the file is ok only when the ceilings are valid. A repeated key keeps its
+// last value. VerifyMachineFile is the same scan with the ceilings thrown away.
 #ifndef GMORPH_SRC_KERNELS_MACHINE_H_
 #define GMORPH_SRC_KERNELS_MACHINE_H_
 
 #include <string>
 
-namespace gmorph::kernels {
+#include "src/common/diagnostics.h"
 
-inline constexpr char kMachineHeaderPrefix[] = "gmorph-machine";
-inline constexpr char kMachineHeader[] = "gmorph-machine v1";
+namespace gmorph::kernels {
 
 struct MachineCeilings {
   double peak_gflops = 0.0;  // best sustained f32 GEMM throughput
@@ -49,9 +53,12 @@ struct MachineLoadResult {
   MachineCeilings ceilings;
 };
 
-// Tolerant loader (missing file is just !ok); the strict linter lives in
-// src/analysis/machine_verifier.
+// Loads under the policy above (a missing file is just !ok).
 MachineLoadResult LoadMachineCeilings(const std::string& path);
+
+// Lints a machine-ceiling file (`gmorph_cli --verify`): every machine.*
+// finding of the scan LoadMachineCeilings runs.
+DiagnosticList VerifyMachineFile(const std::string& path);
 
 // Atomic save (tmp + rename), same discipline as the tuning DB.
 bool SaveMachineCeilings(const std::string& path, const MachineCeilings& ceilings);
@@ -62,14 +69,8 @@ bool SaveMachineCeilings(const std::string& path, const MachineCeilings& ceiling
 MachineCeilings LoadOrProbeMachineCeilings(const std::string& path, bool* probed = nullptr);
 
 // Artifact location: `override_path` if non-empty, else $GMORPH_MACHINE_DB,
-// else "<cache dir>/gmorph.machine" next to the tuning DB ($GMORPH_CACHE_DIR
-// or gmorph_bench_cache).
+// else "<ResolveCacheDir()>/gmorph.machine", next to the tuning DB.
 std::string ResolveMachinePath(const std::string& override_path = "");
-
-// One "key value" entry line, shared with the analysis-layer linter. Valid
-// keys: threads, peak_gflops, triad_gbps.
-bool ParseMachineEntryLine(const std::string& line, std::string* key, double* value,
-                           std::string* error);
 
 }  // namespace gmorph::kernels
 

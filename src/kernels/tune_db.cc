@@ -4,28 +4,20 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
+#include <limits>
 #include <mutex>
 #include <sstream>
+#include <utility>
 #include <vector>
 
-#include "src/common/artifact_header.h"
+#include "src/common/line_artifact.h"
 #include "src/kernels/registry.h"
 
 namespace gmorph::kernels {
 namespace {
 
-// FNV-1a, as used by the search checkpoints; good enough to distinguish
-// toolchains and cheap enough to run at static-init time.
-uint64_t Fnv1a(const std::string& s) {
-  uint64_t h = 1469598103934665603ull;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
+const LineArtifactFormat kTuneDbFormat{kTuneDbArtifact, "tune", "tuning DB", &BuildFingerprint,
+                                       "this binary will ignore all entries"};
 
 std::string ComputeFingerprint() {
   std::ostringstream os;
@@ -57,7 +49,7 @@ std::string ComputeFingerprint() {
 #endif
   os << "ptr=" << sizeof(void*) * 8;
   char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, Fnv1a(os.str()));
+  std::snprintf(buf, sizeof(buf), "%016" PRIx64, Fnv1aHash(os.str()));
   return buf;
 }
 
@@ -67,50 +59,14 @@ std::string FormatDouble(double v) {
   return buf;
 }
 
-bool ParseInt64(const std::string& s, int64_t* out) {
-  if (s.empty()) {
-    return false;
-  }
-  char* end = nullptr;
-  const long long v = std::strtoll(s.c_str(), &end, 10);
-  if (end != s.c_str() + s.size()) {
-    return false;
-  }
-  *out = v;
-  return true;
-}
-
-bool ParseDouble(const std::string& s, double* out) {
-  if (s.empty()) {
-    return false;
-  }
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end != s.c_str() + s.size()) {
-    return false;
-  }
-  *out = v;
-  return true;
-}
-
-const Solver* ResolveName(const ProblemDesc& desc, const std::string& name) {
-  return SolverRegistry::Global().FindForDesc(desc, name);
-}
-
-}  // namespace
-
-const std::string& BuildFingerprint() {
-  static const std::string fp = ComputeFingerprint();
-  return fp;
-}
-
-bool ParseTuneEntryLine(const std::string& line, ProblemDesc* desc, TuneDb::Entry* entry,
-                        std::string* error) {
+// Parses one entry line; a grammar defect is reported as tune.entry at `where`.
+bool ParseEntryLine(const std::string& line, const std::string& where, ProblemDesc* desc,
+                    TuneDb::Entry* entry, DiagnosticList& diags) {
   std::istringstream is(line);
   std::string tok;
   is >> tok;
   if (tok != "entry") {
-    *error = "expected 'entry'";
+    diags.Error("tune.entry", where) << "expected 'entry'";
     return false;
   }
   ProblemDesc d;
@@ -119,7 +75,7 @@ bool ParseTuneEntryLine(const std::string& line, ProblemDesc* desc, TuneDb::Entr
   while (is >> tok) {
     const size_t eq = tok.find('=');
     if (eq == std::string::npos) {
-      *error = "bad token '" + tok + "'";
+      diags.Error("tune.entry", where) << "bad token '" << tok << "'";
       return false;
     }
     const std::string key = tok.substr(0, eq);
@@ -127,7 +83,7 @@ bool ParseTuneEntryLine(const std::string& line, ProblemDesc* desc, TuneDb::Entr
     int64_t iv = 0;
     if (key == "op") {
       if (!OpFamilyFromName(val, &d.op)) {
-        *error = "unknown op '" + val + "'";
+        diags.Error("tune.entry", where) << "unknown op '" << val << "'";
         return false;
       }
       have_op = true;
@@ -135,35 +91,36 @@ bool ParseTuneEntryLine(const std::string& line, ProblemDesc* desc, TuneDb::Entr
       // Optional: v1 DBs written before the dtype dimension carry no token
       // and load as f32 (the ProblemDesc default), so old files stay valid.
       if (!DTypeFromName(val, &d.dtype)) {
-        *error = "unknown dtype '" + val + "'";
+        diags.Error("tune.entry", where) << "unknown dtype '" << val << "'";
         return false;
       }
-    } else if (key == "m" && ParseInt64(val, &d.m)) {
+    } else if (key == "m" && ParseStrictInt64(val, &d.m)) {
       have_m = true;
-    } else if (key == "k" && ParseInt64(val, &d.k)) {
+    } else if (key == "k" && ParseStrictInt64(val, &d.k)) {
       have_k = true;
-    } else if (key == "n" && ParseInt64(val, &d.n)) {
+    } else if (key == "n" && ParseStrictInt64(val, &d.n)) {
       have_n = true;
-    } else if (key == "aux0" && ParseInt64(val, &d.aux0)) {
-    } else if (key == "aux1" && ParseInt64(val, &d.aux1)) {
-    } else if (key == "threads" && ParseInt64(val, &iv) && iv >= 1) {
+    } else if (key == "aux0" && ParseStrictInt64(val, &d.aux0)) {
+    } else if (key == "aux1" && ParseStrictInt64(val, &d.aux1)) {
+    } else if (key == "threads" && ParseStrictInt64(val, &iv) && iv >= 1 &&
+               iv <= std::numeric_limits<int>::max()) {
       d.threads = static_cast<int>(iv);
       have_threads = true;
     } else if (key == "solver" && !val.empty()) {
       e.solver = val;
-    } else if (key == "gflops" && ParseDouble(val, &e.gflops)) {
-    } else if (key == "ms" && ParseDouble(val, &e.ms)) {
+    } else if (key == "gflops" && ParseStrictDouble(val, &e.gflops)) {
+    } else if (key == "ms" && ParseStrictDouble(val, &e.ms)) {
     } else {
-      *error = "bad entry field '" + tok + "'";
+      diags.Error("tune.entry", where) << "bad entry field '" << tok << "'";
       return false;
     }
   }
   if (!have_op || !have_m || !have_k || !have_n || !have_threads || e.solver.empty()) {
-    *error = "missing required field (op/m/k/n/threads/solver)";
+    diags.Error("tune.entry", where) << "missing required field (op/m/k/n/threads/solver)";
     return false;
   }
   if (d.m < 1 || d.k < 1 || d.n < 1) {
-    *error = "non-positive dimension";
+    diags.Error("tune.entry", where) << "non-positive dimension";
     return false;
   }
   *desc = d;
@@ -171,7 +128,7 @@ bool ParseTuneEntryLine(const std::string& line, ProblemDesc* desc, TuneDb::Entr
   return true;
 }
 
-std::string FormatTuneEntryLine(const ProblemDesc& desc, const TuneDb::Entry& entry) {
+std::string FormatEntryLine(const ProblemDesc& desc, const TuneDb::Entry& entry) {
   std::ostringstream os;
   os << "entry op=" << OpFamilyName(desc.op);
   if (desc.dtype != DType::kF32) {
@@ -186,46 +143,68 @@ std::string FormatTuneEntryLine(const ProblemDesc& desc, const TuneDb::Entry& en
   return os.str();
 }
 
-TuneDb::LoadStats TuneDb::Load(const std::string& path) {
-  LoadStats stats;
-  std::ifstream in(path);
-  if (!in) {
-    return stats;  // missing file: empty DB, not an error
-  }
-  std::string line;
-  if (!std::getline(in, line) ||
-      CheckArtifactHeaderLine(line, kTuneDbArtifact) != HeaderCheck::kOk) {
-    return stats;
-  }
-  stats.ok = true;
-  bool usable = true;
-  std::unique_lock<std::shared_mutex> lock(mutex_);
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') {
-      continue;
-    }
-    if (line.rfind("fingerprint ", 0) == 0) {
-      if (line.substr(12) != BuildFingerprint()) {
-        stats.fingerprint_mismatch = true;
-        usable = false;  // foreign build: keep parsing nothing into the map
-      }
-      continue;
-    }
+// Everything one pass over a tuning-DB file finds.
+struct TuneDbScan : LineScan {
+  int flagged = 0;  // entry lines with an error
+  std::vector<std::pair<ProblemDesc, TuneDb::Entry>> entries;  // the rest, in file order
+};
+
+TuneDbScan ScanTuneDbFile(const std::string& path) {
+  TuneDbScan scan;
+  std::map<ProblemDesc, int> first_line;  // desc -> line that introduced it
+  ScanLineArtifact(path, kTuneDbFormat, scan, [&](int lineno, const std::string& line) {
+    const std::string where = LineLocation(lineno);
     ProblemDesc desc;
-    Entry entry;
-    std::string error;
-    if (!ParseTuneEntryLine(line, &desc, &entry, &error)) {
-      ++stats.skipped;
-      continue;
+    TuneDb::Entry entry;
+    if (!ParseEntryLine(line, where, &desc, &entry, scan.diags)) {
+      ++scan.flagged;
+      return;
     }
-    if (!usable) {
-      continue;
-    }
-    entry.resolved = ResolveName(desc, entry.solver);
+    // Registry family is keyed by (op, dtype): int8 entries must name a
+    // qgemm.* solver, f32 entries a gemm.* one.
+    entry.resolved = SolverRegistry::Global().FindForDesc(desc, entry.solver);
+    const bool usable = entry.resolved != nullptr && entry.resolved->IsApplicable(desc);
     if (entry.resolved == nullptr) {
-      ++stats.skipped;  // solver unknown to this build
-      continue;
+      scan.diags.Error("tune.solver", where)
+          << "solver '" << entry.solver << "' is not registered for " << OpFamilyName(desc.op)
+          << " " << DTypeName(desc.dtype);
+    } else if (!usable) {
+      scan.diags.Error("tune.applicable", where)
+          << "solver '" << entry.solver << "' rejects " << ProblemKey(desc);
     }
+    const auto [it, inserted] = first_line.emplace(desc, lineno);
+    if (!inserted) {
+      scan.diags.Error("tune.duplicate", where)
+          << "duplicate entry for " << ProblemKey(desc) << " (first at line " << it->second
+          << "; the loader keeps the last)";
+    }
+    if (usable) {
+      scan.entries.emplace_back(desc, std::move(entry));
+    } else {
+      ++scan.flagged;
+    }
+  });
+  return scan;
+}
+
+}  // namespace
+
+const std::string& BuildFingerprint() {
+  static const std::string fp = ComputeFingerprint();
+  return fp;
+}
+
+TuneDb::LoadStats TuneDb::Load(const std::string& path) {
+  TuneDbScan scan = ScanTuneDbFile(path);
+  LoadStats stats;
+  stats.ok = scan.readable;
+  stats.skipped = scan.flagged;
+  stats.fingerprint_mismatch = scan.foreign;
+  if (scan.foreign) {
+    return stats;  // a foreign build's winners are not trusted
+  }
+  std::unique_lock<std::shared_mutex> lock(mutex_);
+  for (auto& [desc, entry] : scan.entries) {
     entries_[desc] = std::move(entry);
     ++stats.entries;
   }
@@ -233,30 +212,19 @@ TuneDb::LoadStats TuneDb::Load(const std::string& path) {
 }
 
 bool TuneDb::Save(const std::string& path) const {
-  std::error_code ec;
-  const std::filesystem::path target(path);
-  if (target.has_parent_path()) {
-    std::filesystem::create_directories(target.parent_path(), ec);
-  }
-  const std::string tmp = path + ".tmp";
+  std::ostringstream out;
+  out << ArtifactHeaderLine(kTuneDbArtifact) << "\n";
+  out << "fingerprint " << BuildFingerprint() << "\n";
   {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) {
-      return false;
-    }
-    out << kTuneDbHeader << "\n";
-    out << "fingerprint " << BuildFingerprint() << "\n";
     std::shared_lock<std::shared_mutex> lock(mutex_);
     for (const auto& [desc, entry] : entries_) {
-      out << FormatTuneEntryLine(desc, entry) << "\n";
-    }
-    if (!out.good()) {
-      return false;
+      out << FormatEntryLine(desc, entry) << "\n";
     }
   }
-  std::filesystem::rename(tmp, target, ec);
-  return !ec;
+  return WriteFileAtomically(path, out.str());
 }
+
+DiagnosticList VerifyTuneDbFile(const std::string& path) { return ScanTuneDbFile(path).diags; }
 
 const TuneDb::Entry* TuneDb::Lookup(const ProblemDesc& desc) const {
   std::shared_lock<std::shared_mutex> lock(mutex_);
@@ -264,10 +232,8 @@ const TuneDb::Entry* TuneDb::Lookup(const ProblemDesc& desc) const {
   return it == entries_.end() ? nullptr : &it->second;
 }
 
-bool TuneDb::Contains(const ProblemDesc& desc) const { return Lookup(desc) != nullptr; }
-
 void TuneDb::Record(const ProblemDesc& desc, Entry entry) {
-  entry.resolved = ResolveName(desc, entry.solver);
+  entry.resolved = SolverRegistry::Global().FindForDesc(desc, entry.solver);
   std::unique_lock<std::shared_mutex> lock(mutex_);
   entries_[desc] = std::move(entry);
 }
@@ -277,13 +243,6 @@ int64_t TuneDb::size() const {
   return static_cast<int64_t>(entries_.size());
 }
 
-void TuneDb::ForEach(const std::function<void(const ProblemDesc&, const Entry&)>& fn) const {
-  std::shared_lock<std::shared_mutex> lock(mutex_);
-  for (const auto& [desc, entry] : entries_) {
-    fn(desc, entry);
-  }
-}
-
 std::string ResolveTuneDbPath(const std::string& override_path) {
   if (!override_path.empty()) {
     return override_path;
@@ -291,11 +250,7 @@ std::string ResolveTuneDbPath(const std::string& override_path) {
   if (const char* env = std::getenv("GMORPH_TUNE_DB"); env != nullptr && *env != '\0') {
     return env;
   }
-  std::string dir = "gmorph_bench_cache";
-  if (const char* env = std::getenv("GMORPH_CACHE_DIR"); env != nullptr && *env != '\0') {
-    dir = env;
-  }
-  return dir + "/gmorph.tunedb";
+  return ResolveCacheDir() + "/gmorph.tunedb";
 }
 
 namespace {

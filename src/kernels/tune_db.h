@@ -11,9 +11,16 @@
 // Entries are content-addressed by the full problem descriptor (family, all
 // dims, thread count); the fingerprint line hashes the compiler, optimization
 // level, and target architecture, so a DB tuned by a different build is
-// ignored rather than trusted. Saves are atomic (tmp + rename), matching the
-// evaluation-cache discipline, and the default location sits next to the
-// eval cache ($GMORPH_CACHE_DIR, else gmorph_bench_cache/).
+// ignored rather than trusted. Saves are atomic (tmp + rename), and the
+// default location sits next to the eval cache (ResolveCacheDir()).
+//
+// The loader is the linter: one scan (src/common/line_artifact.h) both loads
+// the file and reports every tune.* finding. Load then applies this format's
+// policy: lines the scan flags (tune.entry, tune.solver, tune.applicable) are
+// dropped; of duplicate entries the last one wins; and a file whose
+// fingerprint is foreign or malformed contributes no entries, wherever the
+// fingerprint line sits. VerifyTuneDbFile is the same scan with the entries
+// thrown away.
 //
 // Thread safety: Lookup takes a shared lock, Record an exclusive one, so a
 // serving process can keep resolving while an autotune pass records winners.
@@ -22,18 +29,15 @@
 #ifndef GMORPH_SRC_KERNELS_TUNE_DB_H_
 #define GMORPH_SRC_KERNELS_TUNE_DB_H_
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <shared_mutex>
 #include <string>
 
+#include "src/common/diagnostics.h"
 #include "src/kernels/solver.h"
 
 namespace gmorph::kernels {
-
-inline constexpr char kTuneDbHeaderPrefix[] = "gmorph-tunedb";
-inline constexpr char kTuneDbHeader[] = "gmorph-tunedb v1";
 
 // Hash of the toolchain + target this binary was built with. Tuned winners
 // only transfer between identical builds.
@@ -54,25 +58,22 @@ class TuneDb {
   struct LoadStats {
     bool ok = false;      // file opened and header parsed
     int entries = 0;      // entries loaded
-    int skipped = 0;      // malformed or unresolvable lines dropped
+    int skipped = 0;      // entry lines the scan flagged, dropped
     bool fingerprint_mismatch = false;  // foreign build: entries ignored
   };
 
   TuneDb() = default;
 
-  // Loads `path`, dropping (not failing on) malformed lines; the strict
-  // linter lives in src/analysis/tunedb_verifier. A missing file is not an
-  // error — the DB just stays empty.
+  // Loads `path` under the policy above. A missing file is not an error —
+  // the DB just stays empty.
   LoadStats Load(const std::string& path);
 
   // Writes the full DB atomically (tmp + rename in the target directory).
   bool Save(const std::string& path) const;
 
   const Entry* Lookup(const ProblemDesc& desc) const;
-  bool Contains(const ProblemDesc& desc) const;
   void Record(const ProblemDesc& desc, Entry entry);
   int64_t size() const;
-  void ForEach(const std::function<void(const ProblemDesc&, const Entry&)>& fn) const;
 
   TuneDb(const TuneDb&) = delete;
   TuneDb& operator=(const TuneDb&) = delete;
@@ -82,15 +83,12 @@ class TuneDb {
   std::map<ProblemDesc, Entry> entries_;
 };
 
-// One entry line, both directions. Shared with the analysis-layer linter so
-// the loader and the verifier can never drift on the format.
-bool ParseTuneEntryLine(const std::string& line, ProblemDesc* desc, TuneDb::Entry* entry,
-                        std::string* error);
-std::string FormatTuneEntryLine(const ProblemDesc& desc, const TuneDb::Entry& entry);
+// Lints a tuning-DB file (`gmorph_cli --verify`): every tune.* finding of the
+// scan Load runs.
+DiagnosticList VerifyTuneDbFile(const std::string& path);
 
 // DB location: `override_path` if non-empty, else $GMORPH_TUNE_DB, else
-// "<cache dir>/gmorph.tunedb" where the cache dir is $GMORPH_CACHE_DIR or
-// gmorph_bench_cache (the evaluation cache's resolution rule).
+// "<ResolveCacheDir()>/gmorph.tunedb".
 std::string ResolveTuneDbPath(const std::string& override_path = "");
 
 // The DB kernel resolution consults. Starts null (pure heuristic dispatch);

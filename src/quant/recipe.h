@@ -8,9 +8,15 @@
 // `seq` is the step's index in the engine's lowered plan, `kind` names the op
 // family, `in_scale`/`in_zp` are the u8 asymmetric activation parameters and
 // `w_scales` the per-output-channel symmetric s8 weight scales. The format
-// mirrors the tunedb's key=value line discipline; the strict linter lives in
-// src/analysis/quant_verifier so the loader here only needs to be tolerant of
-// whitespace, not of corruption.
+// mirrors the tunedb's key=value line discipline.
+//
+// The loader is the linter: one scan (src/common/line_artifact.h) both reads
+// the steps and reports every quant.* finding — grammar (quant.entry), a
+// scale that is not positive finite (quant.scale), a zero point outside
+// [0, 255] (quant.zp), two lines for one plan seq (quant.duplicate). A recipe
+// drives numerics, so the loader's policy is to refuse the whole file on any
+// error; nothing is dropped silently. VerifyQuantRecipeFile is the same scan
+// with the steps thrown away.
 #ifndef GMORPH_SRC_QUANT_RECIPE_H_
 #define GMORPH_SRC_QUANT_RECIPE_H_
 
@@ -18,12 +24,10 @@
 #include <string>
 #include <vector>
 
+#include "src/common/diagnostics.h"
 #include "src/quant/qparams.h"
 
 namespace gmorph::quant {
-
-inline constexpr char kQuantRecipeHeaderPrefix[] = "gmorph-quant";
-inline constexpr char kQuantRecipeHeader[] = "gmorph-quant v1";
 
 struct StepQuantSpec {
   int64_t seq = -1;
@@ -40,19 +44,15 @@ struct QuantRecipe {
   const StepQuantSpec* FindSeq(int64_t seq) const;
 };
 
-// One step line, both directions; shared with the analysis-layer linter so
-// writer and verifier cannot drift. Parse rejects malformed lines with a
-// human-readable reason; it does not enforce cross-line rules (duplicates),
-// which belong to the verifier.
-bool ParseQuantStepLine(const std::string& line, StepQuantSpec* spec, std::string* error);
-std::string FormatQuantStepLine(const StepQuantSpec& spec);
-
-// Whole-file IO. Save is atomic (tmp + rename, the tunedb discipline). Load
-// fails (returns false) on a missing file, bad header, or any malformed step
-// line — a recipe drives numerics, so unlike the tunedb nothing is dropped
-// silently.
+// Whole-file IO. Save is atomic (tmp + rename). Load fails (returns false,
+// `error` naming the first error) on a missing file, a bad header, or any
+// error the linter reports.
 bool SaveQuantRecipe(const QuantRecipe& recipe, const std::string& path, std::string* error);
 bool LoadQuantRecipe(const std::string& path, QuantRecipe* recipe, std::string* error);
+
+// Lints a recipe file (`gmorph_cli --verify`): every quant.* finding of the
+// scan LoadQuantRecipe runs.
+DiagnosticList VerifyQuantRecipeFile(const std::string& path);
 
 }  // namespace gmorph::quant
 

@@ -14,7 +14,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/analysis/tunedb_verifier.h"
+#include "src/common/artifact_header.h"
 #include "src/common/rng.h"
 #include "src/kernels/autotune.h"
 #include "src/kernels/registry.h"
@@ -41,6 +41,7 @@ using kernels::ProblemDesc;
 using kernels::ProblemKey;
 using kernels::SolverRegistry;
 using kernels::TuneDb;
+using kernels::VerifyTuneDbFile;
 
 void FillRandom(std::vector<float>& v, Rng& rng) {
   for (float& x : v) {
@@ -231,29 +232,32 @@ TEST_F(TuneDbFileTest, RoundTripPreservesEntriesAndResolution) {
   std::filesystem::remove(path);
 }
 
-TEST_F(TuneDbFileTest, EntryLineSurvivesFormatParseCycle) {
+TEST_F(TuneDbFileTest, EntryLineSurvivesSaveLoadCycle) {
   ProblemDesc desc = kernels::GemmProblem(OpFamily::kGemmTN, 17, 32, 96);
   desc.threads = 4;
   TuneDb::Entry entry;
   entry.solver = "gemm.dot";
   entry.gflops = 1.0 / 3.0;  // exercises the %.17g round-trip
   entry.ms = 0.0001;
-  const std::string line = kernels::FormatTuneEntryLine(desc, entry);
-  ProblemDesc desc2;
-  TuneDb::Entry entry2;
-  std::string error;
-  ASSERT_TRUE(kernels::ParseTuneEntryLine(line, &desc2, &entry2, &error)) << error;
-  EXPECT_EQ(desc2, desc);
-  EXPECT_EQ(entry2.solver, entry.solver);
-  EXPECT_DOUBLE_EQ(entry2.gflops, entry.gflops);
-  EXPECT_DOUBLE_EQ(entry2.ms, entry.ms);
+  TuneDb db;
+  db.Record(desc, entry);
+  const std::string path = Path("cycle.tunedb");
+  ASSERT_TRUE(db.Save(path));
+  TuneDb loaded;
+  ASSERT_EQ(loaded.Load(path).entries, 1);
+  const TuneDb::Entry* entry2 = loaded.Lookup(desc);
+  ASSERT_NE(entry2, nullptr);
+  EXPECT_EQ(entry2->solver, entry.solver);
+  EXPECT_DOUBLE_EQ(entry2->gflops, entry.gflops);
+  EXPECT_DOUBLE_EQ(entry2->ms, entry.ms);
+  std::filesystem::remove(path);
 }
 
 TEST_F(TuneDbFileTest, LoaderDropsMalformedLinesAndForeignFingerprints) {
   const std::string good =
       "entry op=gemm_nn m=4 k=4 n=4 aux0=0 aux1=0 threads=1 solver=gemm.ref gflops=1 ms=1";
   const std::string path = Write("tolerant.tunedb",
-                                 std::string(kernels::kTuneDbHeader) + "\n" +
+                                 ArtifactHeaderLine(kTuneDbArtifact) + "\n" +
                                      "fingerprint " + kernels::BuildFingerprint() + "\n" +
                                      good + "\n" +
                                      "entry op=gemm_nn m=4 k=4 solver=gemm.ref\n" +      // missing fields
@@ -268,7 +272,7 @@ TEST_F(TuneDbFileTest, LoaderDropsMalformedLinesAndForeignFingerprints) {
 
   // A DB tuned by a different build parses but contributes nothing.
   const std::string foreign = Write("foreign.tunedb",
-                                    std::string(kernels::kTuneDbHeader) + "\n" +
+                                    ArtifactHeaderLine(kTuneDbArtifact) + "\n" +
                                         "fingerprint 0123456789abcdef\n" + good + "\n");
   TuneDb db2;
   const TuneDb::LoadStats stats2 = db2.Load(foreign);
@@ -276,15 +280,28 @@ TEST_F(TuneDbFileTest, LoaderDropsMalformedLinesAndForeignFingerprints) {
   EXPECT_TRUE(stats2.fingerprint_mismatch);
   EXPECT_EQ(stats2.entries, 0);
   EXPECT_EQ(db2.size(), 0);
+
+  // The fingerprint governs the whole file: entries before a foreign line
+  // are not trusted either.
+  const std::string late = Write("late_foreign.tunedb", ArtifactHeaderLine(kTuneDbArtifact) +
+                                                            "\n" + good + "\n" +
+                                                            "fingerprint 0123456789abcdef\n");
+  TuneDb db3;
+  const TuneDb::LoadStats stats3 = db3.Load(late);
+  EXPECT_TRUE(stats3.ok);
+  EXPECT_TRUE(stats3.fingerprint_mismatch);
+  EXPECT_EQ(stats3.entries, 0);
+  EXPECT_EQ(db3.size(), 0);
   std::filesystem::remove(path);
   std::filesystem::remove(foreign);
+  std::filesystem::remove(late);
 }
 
 // The strict linter must report each seeded defect under its advertised
 // tune.* rule id (the loader above only drops them silently).
 TEST_F(TuneDbFileTest, VerifierReportsRuleIds) {
   const std::string clean = Write("clean.tunedb",
-                                  std::string(kernels::kTuneDbHeader) + "\n" +
+                                  ArtifactHeaderLine(kTuneDbArtifact) + "\n" +
                                       "fingerprint " + kernels::BuildFingerprint() + "\n" +
                                       "entry op=gemm_nn m=4 k=4 n=4 aux0=0 aux1=0 threads=1 "
                                       "solver=gemm.ref gflops=1 ms=1\n");
@@ -298,18 +315,18 @@ TEST_F(TuneDbFileTest, VerifierReportsRuleIds) {
   // Foreign fingerprint: structurally valid, but a warning (this build
   // ignores the entries), so the list stays ok().
   const DiagnosticList foreign = VerifyTuneDbFile(
-      Write("fp.tunedb", std::string(kernels::kTuneDbHeader) + "\nfingerprint 0123456789abcdef\n"));
+      Write("fp.tunedb", ArtifactHeaderLine(kTuneDbArtifact) + "\nfingerprint 0123456789abcdef\n"));
   EXPECT_TRUE(foreign.HasRule("tune.fingerprint"));
   EXPECT_TRUE(foreign.ok());
   // Malformed fingerprint: an error.
   const DiagnosticList badfp = VerifyTuneDbFile(
-      Write("badfp.tunedb", std::string(kernels::kTuneDbHeader) + "\nfingerprint xyz\n"));
+      Write("badfp.tunedb", ArtifactHeaderLine(kTuneDbArtifact) + "\nfingerprint xyz\n"));
   EXPECT_TRUE(badfp.HasRule("tune.fingerprint"));
   EXPECT_FALSE(badfp.ok());
 
   const std::string corrupt = Write(
       "corrupt.tunedb",
-      std::string(kernels::kTuneDbHeader) + "\n" + "fingerprint " + kernels::BuildFingerprint() +
+      ArtifactHeaderLine(kTuneDbArtifact) + "\n" + "fingerprint " + kernels::BuildFingerprint() +
           "\n" +
           "entry op=gemm_nn m=8 k=27 n=1024 aux0=0 aux1=0 threads=4 solver=gemm.direct "
           "gflops=10 ms=0.03\n" +

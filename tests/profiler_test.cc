@@ -13,7 +13,7 @@
 #include <fstream>
 #include <string>
 
-#include "src/analysis/machine_verifier.h"
+#include "src/common/artifact_header.h"
 #include "src/kernels/machine.h"
 #include "src/kernels/tune_db.h"
 #include "src/obs/metrics.h"
@@ -132,7 +132,7 @@ TEST(MachineCeilingsTest, ForeignFingerprintIsNotTrusted) {
   const std::string path = TempPath("foreign.machine");
   {
     std::ofstream out(path);
-    out << kernels::kMachineHeader << "\n"
+    out << ArtifactHeaderLine(kMachineArtifact) << "\n"
         << "fingerprint 0123456789abcdef\n"  // not this build's fingerprint
         << "threads 2\npeak_gflops 10\ntriad_gbps 5\n";
   }
@@ -147,16 +147,47 @@ TEST(MachineCeilingsTest, MissingFileIsJustNotOk) {
   EXPECT_FALSE(loaded.ok);
 }
 
-TEST(MachineCeilingsTest, ParseEntryLineValidatesKeysAndValues) {
-  std::string key, error;
-  double value = 0.0;
-  EXPECT_TRUE(kernels::ParseMachineEntryLine("peak_gflops 38.5", &key, &value, &error));
-  EXPECT_EQ(key, "peak_gflops");
-  EXPECT_DOUBLE_EQ(value, 38.5);
-  EXPECT_FALSE(kernels::ParseMachineEntryLine("bogus_key 1.0", &key, &value, &error));
-  EXPECT_FALSE(error.empty());
-  EXPECT_FALSE(kernels::ParseMachineEntryLine("threads", &key, &value, &error));
-  EXPECT_FALSE(kernels::ParseMachineEntryLine("threads many", &key, &value, &error));
+// Writes a same-build machine artifact whose entries are `body`.
+std::string WriteMachineFile(const char* name, const std::string& body) {
+  const std::string path = TempPath(name);
+  std::ofstream out(path);
+  out << ArtifactHeaderLine(kMachineArtifact) << "\n"
+      << "fingerprint " << kernels::BuildFingerprint() << "\n"
+      << body;
+  return path;
+}
+
+TEST(MachineCeilingsTest, EntryLinesValidateKeysAndValues) {
+  const std::string good =
+      WriteMachineFile("keys_good.machine", "threads 2\npeak_gflops 38.5\ntriad_gbps 9\n");
+  EXPECT_TRUE(kernels::VerifyMachineFile(good).empty());
+  const kernels::MachineLoadResult loaded = kernels::LoadMachineCeilings(good);
+  EXPECT_TRUE(loaded.ok);
+  EXPECT_DOUBLE_EQ(loaded.ceilings.peak_gflops, 38.5);
+
+  const char* bad[] = {"bogus_key 1.0", "threads", "threads many", "threads 2 extra"};
+  for (const char* line : bad) {
+    const std::string path = WriteMachineFile(
+        "keys_bad.machine", std::string(line) + "\npeak_gflops 38.5\ntriad_gbps 9\n");
+    EXPECT_TRUE(kernels::VerifyMachineFile(path).HasRule("machine.entry")) << line;
+  }
+}
+
+// threads must be a positive integer that fits in int: a fractional or
+// oversized count is machine.value, and the loader agrees with the linter.
+TEST(MachineCeilingsTest, ThreadsMustBeAPositiveInt) {
+  for (const char* threads : {"4.9", "1e12", "0", "-2", "nan"}) {
+    const std::string path = WriteMachineFile(
+        "threads.machine",
+        std::string("threads ") + threads + "\npeak_gflops 38.5\ntriad_gbps 9\n");
+    const DiagnosticList diags = kernels::VerifyMachineFile(path);
+    EXPECT_TRUE(diags.HasRule("machine.value")) << threads << "\n" << diags.ToString();
+    EXPECT_FALSE(kernels::LoadMachineCeilings(path).ok) << threads;
+  }
+  const std::string whole = WriteMachineFile(
+      "threads_whole.machine", "threads 4.0\npeak_gflops 38.5\ntriad_gbps 9\n");
+  EXPECT_TRUE(kernels::VerifyMachineFile(whole).ok());
+  EXPECT_EQ(kernels::LoadMachineCeilings(whole).ceilings.threads, 4);
 }
 
 TEST(MachineCeilingsTest, ResolveMachinePathPrefersOverride) {
@@ -170,14 +201,14 @@ TEST(MachineVerifierTest, CorruptArtifactFiresMachineRules) {
   const std::string path = TempPath("corrupt.machine");
   {
     std::ofstream out(path);
-    out << kernels::kMachineHeader << "\n"
+    out << ArtifactHeaderLine(kMachineArtifact) << "\n"
         << "fingerprint zz\n"          // malformed -> machine.fingerprint error
         << "threads -3\n"              // non-positive -> machine.value
         << "bogus 1.0\n"               // unknown key -> machine.entry
         << "threads 2\n";              // repeated key -> machine.entry
     // peak_gflops / triad_gbps absent -> machine.missing (twice)
   }
-  const DiagnosticList diags = VerifyMachineFile(path);
+  const DiagnosticList diags = kernels::VerifyMachineFile(path);
   int fingerprint = 0, value = 0, entry = 0, missing = 0;
   for (const Diagnostic& d : diags.items()) {
     if (d.rule_id == "machine.fingerprint") ++fingerprint;
@@ -199,7 +230,7 @@ TEST(MachineVerifierTest, SavedArtifactLintsClean) {
   ceilings.threads = 2;
   const std::string path = TempPath("clean.machine");
   ASSERT_TRUE(kernels::SaveMachineCeilings(path, ceilings));
-  const DiagnosticList diags = VerifyMachineFile(path);
+  const DiagnosticList diags = kernels::VerifyMachineFile(path);
   EXPECT_TRUE(diags.ok()) << diags.ToString();
   EXPECT_TRUE(diags.empty()) << diags.ToString();
 }

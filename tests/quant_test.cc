@@ -1,8 +1,8 @@
 // Tests for the int8 quantization path (src/quant + the kernel/runtime
 // layers it drives): bitwise qgemm solver cross-checks against the reference
-// loop, recipe line/file round-trips, the strict recipe linter's rule ids
-// over the seeded-defect fixture (the recipe grammar has no comments, so the
-// fixture is documented here: line 3 drops in_zp -> quant.entry, line 4 has a
+// loop, recipe file round-trips, the recipe linter's rule ids (the loader
+// runs the same scan) over the seeded-defect fixture (documented here: line 3
+// drops in_zp -> quant.entry, line 4 has a
 // negative in_scale -> quant.scale, line 5 an out-of-range in_zp -> quant.zp,
 // line 6 a zero per-channel weight scale -> quant.scale, line 7 reuses seq=0
 // -> quant.duplicate), calibrate->quantize accuracy bounds on every zoo
@@ -16,7 +16,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/analysis/quant_verifier.h"
 #include "src/common/rng.h"
 #include "src/core/candidate_eval.h"
 #include "src/core/model_parser.h"
@@ -102,6 +101,16 @@ TEST(QGemmSolverPropertyTest, AllSolversBitwiseMatchReference) {
   }
 }
 
+std::string RecipePath(const std::string& name) {
+  return (std::filesystem::temp_directory_path() / ("gmorph_quant_" + name)).string();
+}
+
+std::string WriteRecipe(const std::string& name, const std::string& body) {
+  const std::string path = RecipePath(name);
+  std::ofstream(path) << "gmorph-quant v1\n" << body;
+  return path;
+}
+
 TEST(QuantRecipeTest, StepLineRoundTripsExactly) {
   quant::StepQuantSpec spec;
   spec.seq = 12;
@@ -111,10 +120,15 @@ TEST(QuantRecipeTest, StepLineRoundTripsExactly) {
   spec.in_q.zero_point = 131;
   spec.w_scales = {1.17549435e-38f, 0.25f, 3.0f};
 
-  const std::string line = quant::FormatQuantStepLine(spec);
-  quant::StepQuantSpec parsed;
+  quant::QuantRecipe recipe;
+  recipe.steps.push_back(spec);
+  const std::string path = RecipePath("line_roundtrip.quantrecipe");
   std::string error;
-  ASSERT_TRUE(quant::ParseQuantStepLine(line, &parsed, &error)) << error;
+  ASSERT_TRUE(quant::SaveQuantRecipe(recipe, path, &error)) << error;
+  quant::QuantRecipe loaded;
+  ASSERT_TRUE(quant::LoadQuantRecipe(path, &loaded, &error)) << error;
+  ASSERT_EQ(loaded.steps.size(), 1u);
+  const quant::StepQuantSpec& parsed = loaded.steps[0];
   EXPECT_EQ(parsed.seq, spec.seq);
   EXPECT_EQ(parsed.kind, spec.kind);
   EXPECT_EQ(parsed.label, "block_3_/_conv_1");
@@ -125,23 +139,27 @@ TEST(QuantRecipeTest, StepLineRoundTripsExactly) {
   for (size_t i = 0; i < spec.w_scales.size(); ++i) {
     EXPECT_EQ(parsed.w_scales[i], spec.w_scales[i]) << "channel " << i;
   }
+  std::filesystem::remove(path);
 }
 
-TEST(QuantRecipeTest, ParseRejectsMalformedLines) {
-  quant::StepQuantSpec spec;
-  std::string error;
+TEST(QuantRecipeTest, LoadAndLintRejectMalformedLines) {
   const char* bad[] = {
       "stop seq=0 kind=conv in_scale=1 in_zp=0 w_scales=1",
       "step seq=0 kind=conv in_scale=1 w_scales=1",           // missing in_zp
       "step seq=0 kind=conv in_scale=1 in_zp=256 w_scales=1", // zp > 255
       "step seq=-1 kind=conv in_scale=1 in_zp=0 w_scales=1",  // negative seq
       "step seq=0 kind=conv in_scale=1 in_zp=0 w_scales=1,nope",
+      "step seq=0 kind=conv in_scale=1 in_zp=0 w_scales=1,",
       "step seq=0 kind=conv in_scale=1 in_zp=0 w_scales=1 bogus",
   };
   for (const char* line : bad) {
-    error.clear();
-    EXPECT_FALSE(quant::ParseQuantStepLine(line, &spec, &error)) << line;
+    const std::string path = WriteRecipe("bad_line.quantrecipe", std::string(line) + "\n");
+    EXPECT_FALSE(quant::VerifyQuantRecipeFile(path).ok()) << line;
+    quant::QuantRecipe recipe;
+    std::string error;
+    EXPECT_FALSE(quant::LoadQuantRecipe(path, &recipe, &error)) << line;
     EXPECT_FALSE(error.empty()) << line;
+    std::filesystem::remove(path);
   }
 }
 
@@ -176,7 +194,7 @@ TEST(QuantRecipeTest, SaveLoadRoundTripAndStrictLoad) {
   EXPECT_EQ(loaded.FindSeq(1), nullptr);
 
   // A saved recipe must satisfy its own strict linter.
-  EXPECT_TRUE(VerifyQuantRecipeFile(path).ok());
+  EXPECT_TRUE(quant::VerifyQuantRecipeFile(path).ok());
 
   // Load refuses corruption outright instead of dropping lines (a recipe
   // drives numerics); the linter reports the same file finding-by-finding.
@@ -184,12 +202,26 @@ TEST(QuantRecipeTest, SaveLoadRoundTripAndStrictLoad) {
   quant::QuantRecipe rejected;
   EXPECT_FALSE(quant::LoadQuantRecipe(corrupt, &rejected, &error));
   EXPECT_FALSE(quant::LoadQuantRecipe(path + ".does_not_exist", &rejected, &error));
+
+  // Every line parses, yet the linter rejects the recipe (a zero activation
+  // scale would divide by zero in dequant; seq=0 appears twice), so the
+  // loader refuses it too.
+  const std::string unsound = WriteRecipe(
+      "unsound.quantrecipe",
+      "step seq=0 kind=conv label=a in_scale=0 in_zp=0 w_scales=0.5\n"
+      "step seq=0 kind=conv label=b in_scale=0.25 in_zp=0 w_scales=0.5\n");
+  const DiagnosticList lint = quant::VerifyQuantRecipeFile(unsound);
+  EXPECT_TRUE(lint.HasRule("quant.scale")) << lint.ToString();
+  EXPECT_TRUE(lint.HasRule("quant.duplicate")) << lint.ToString();
+  EXPECT_FALSE(quant::LoadQuantRecipe(unsound, &rejected, &error));
+  EXPECT_NE(error.find("quant.scale"), std::string::npos) << error;
+  std::filesystem::remove(unsound);
   std::filesystem::remove(path);
 }
 
 TEST(QuantVerifierTest, CorruptFixtureReportsEveryAdvertisedRule) {
   const std::string path = std::string(GMORPH_TESTDATA_DIR) + "/quantrecipe_corrupt.txt";
-  const DiagnosticList diags = VerifyQuantRecipeFile(path);
+  const DiagnosticList diags = quant::VerifyQuantRecipeFile(path);
   EXPECT_FALSE(diags.ok());
   EXPECT_TRUE(diags.HasRule("quant.entry"));      // line 3: missing in_zp
   EXPECT_TRUE(diags.HasRule("quant.scale"));      // lines 4 and 6
@@ -209,10 +241,12 @@ TEST(QuantVerifierTest, MissingHeaderAndVersionAndEmpty) {
     std::ofstream(p) << body;
     return p;
   };
-  EXPECT_TRUE(VerifyQuantRecipeFile(dir + "/nope.quantrecipe").HasRule("quant.open"));
-  EXPECT_TRUE(VerifyQuantRecipeFile(write("noheader", "step seq=0\n")).HasRule("quant.header"));
-  EXPECT_TRUE(VerifyQuantRecipeFile(write("v2", "gmorph-quant v2\n")).HasRule("quant.version"));
-  const DiagnosticList empty = VerifyQuantRecipeFile(write("empty", "gmorph-quant v1\n"));
+  EXPECT_TRUE(quant::VerifyQuantRecipeFile(dir + "/nope.quantrecipe").HasRule("quant.open"));
+  EXPECT_TRUE(
+      quant::VerifyQuantRecipeFile(write("noheader", "step seq=0\n")).HasRule("quant.header"));
+  EXPECT_TRUE(
+      quant::VerifyQuantRecipeFile(write("v2", "gmorph-quant v2\n")).HasRule("quant.version"));
+  const DiagnosticList empty = quant::VerifyQuantRecipeFile(write("empty", "gmorph-quant v1\n"));
   EXPECT_TRUE(empty.ok());  // header-only recipe is suspicious, not fatal
   EXPECT_TRUE(empty.HasRule("quant.entry"));
   fs::remove_all(dir);
