@@ -47,21 +47,6 @@ BenchmarkScale DefaultScale() {
   return s;
 }
 
-PreparedBenchmark PrepareBenchmark(int index, uint64_t seed, int teacher_epochs) {
-  PreparedBenchmark p;
-  p.def = MakeBenchmark(index, DefaultScale(), seed);
-  Rng rng(seed * 977 + 13);
-  for (size_t t = 0; t < p.def.tasks.size(); ++t) {
-    p.teachers.push_back(std::make_unique<TaskModel>(p.def.tasks[t].model, rng));
-    TeacherTrainOptions opts;
-    opts.epochs = teacher_epochs;
-    const double score = TrainTeacher(*p.teachers.back(), p.def.train, p.def.test, t, opts);
-    p.teacher_scores.push_back(score);
-    p.teacher_ptrs.push_back(p.teachers.back().get());
-  }
-  return p;
-}
-
 GMorphOptions DefaultSearchOptions(double threshold, uint64_t seed) {
   GMorphOptions o;
   o.accuracy_drop_threshold = threshold;
@@ -315,42 +300,6 @@ LatencyPair MeasureSummaryLatency(int bench_index, const SearchSummary& summary)
 
 namespace {
 
-std::string g_record_tmp_path;
-std::string g_record_final_path;
-
-void CommitTranscript() {
-  if (g_record_tmp_path.empty()) {
-    return;
-  }
-  std::fflush(stdout);
-  std::error_code ec;
-  std::filesystem::rename(g_record_tmp_path, g_record_final_path, ec);
-}
-
-}  // namespace
-
-bool ReplayOrBeginRecord(const std::string& name) {
-  const std::string path = CacheDir() + "/out_" + name + "_" + ScaleTag() + ".txt";
-  std::ifstream cached(path);
-  if (cached) {
-    std::ostringstream buffer;
-    buffer << cached.rdbuf();
-    std::fputs(buffer.str().c_str(), stdout);
-    std::fputs("(replayed cached transcript; delete the cache dir to recompute)\n", stdout);
-    return true;
-  }
-  g_record_final_path = path;
-  g_record_tmp_path = path + ".tmp";
-  if (std::freopen(g_record_tmp_path.c_str(), "w", stdout) == nullptr) {
-    g_record_tmp_path.clear();
-    return false;  // recording unavailable; run normally
-  }
-  std::atexit(CommitTranscript);
-  return false;
-}
-
-namespace {
-
 std::string JsonEscape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
@@ -364,9 +313,7 @@ std::string JsonEscape(const std::string& s) {
 }
 
 // Arms tracing/metrics from GMORPH_TRACE / GMORPH_METRICS once per process
-// and registers the metrics-snapshot trailer line. atexit ordering (LIFO)
-// puts the trailer before ReplayOrBeginRecord's transcript commit, so
-// recorded transcripts include it.
+// and registers the metrics-snapshot trailer line.
 void InitObsOnce() {
   static const bool done = [] {
     obs::InitTracingFromEnv();

@@ -36,8 +36,6 @@ struct PreparedBenchmark {
   std::vector<double> teacher_scores;
 };
 
-PreparedBenchmark PrepareBenchmark(int index, uint64_t seed, int teacher_epochs = 6);
-
 // Directory for cross-binary caching (teacher checkpoints, search results).
 // GMORPH_CACHE_DIR overrides; default "gmorph_bench_cache" under the cwd.
 std::string CacheDir();
@@ -97,13 +95,6 @@ SearchSummary RunSearchCached(int bench_index, double threshold, Variant variant
 // accuracy drop (fraction).
 GMorphOptions DefaultSearchOptions(double threshold, uint64_t seed);
 
-// Transcript caching for benches whose computation is not otherwise cached
-// (fig1-3, table4, serving). If a recorded transcript for `name` exists, it
-// is printed and true is returned — the caller should exit immediately.
-// Otherwise stdout is redirected into the transcript (committed atomically at
-// normal exit) and false is returned.
-bool ReplayOrBeginRecord(const std::string& name);
-
 // ---- JSON emission ----
 
 // Single-line JSON object builder for the benches' machine-parseable output
@@ -130,7 +121,7 @@ class Json {
 // subsystem from the environment (GMORPH_TRACE / GMORPH_METRICS) and
 // registers an atexit hook that appends one final
 //   {"metrics_snapshot": {...}}
-// line carrying the metrics-registry snapshot, so every bench transcript ends
+// line carrying the metrics-registry snapshot, so every bench's output ends
 // with its counters/histograms.
 void EmitJsonLine(const Json& json);
 

@@ -60,9 +60,6 @@ void RunGroup(const char* label, int bench_index, int num_mutations) {
 }  // namespace
 
 int main() {
-  if (gmorph::bench::ReplayOrBeginRecord("fig1")) {
-    return 0;
-  }
   PrintHeader("Figure 1: accuracy drop vs speedup, similar vs different input shapes",
               "paper Fig. 1");
   RunGroup("(a) three VGG-16s", /*bench_index=*/2, /*num_mutations=*/2);

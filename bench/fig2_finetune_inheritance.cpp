@@ -44,9 +44,6 @@ Sample EvaluateCandidate(const AbsGraph& graph, PreparedBenchmark& p,
 }  // namespace
 
 int main() {
-  if (gmorph::bench::ReplayOrBeginRecord("fig2")) {
-    return 0;
-  }
   PrintHeader("Figure 2: fine-tune time vs speedup, mutating original vs elite",
               "paper Fig. 2");
   PreparedBenchmark& p = GetBenchmark(1);  // 3x VGG-13 face tasks (B1)

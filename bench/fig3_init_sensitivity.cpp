@@ -50,9 +50,6 @@ AbsGraph PerturbWeights(const AbsGraph& graph, float relative_sigma, Rng& rng) {
 }  // namespace
 
 int main() {
-  if (gmorph::bench::ReplayOrBeginRecord("fig3")) {
-    return 0;
-  }
   PrintHeader("Figure 3: accuracy-drop spread across weight initializations",
               "paper Fig. 3");
   PreparedBenchmark& p = GetBenchmark(1);

@@ -42,9 +42,6 @@ ServingStats RunOpenLoop(ThreadedServer& server, const std::vector<double>& arri
 }  // namespace
 
 int main() {
-  if (gmorph::bench::ReplayOrBeginRecord("serving")) {
-    return 0;
-  }
   using namespace gmorph::bench;
   PrintHeader("Serving saturation: threaded server, original vs fused (paper §7)",
               "paper §7 'Applicability of GMorph'");

@@ -8,9 +8,6 @@
 #include "src/baselines/mtl_baselines.h"
 
 int main() {
-  if (gmorph::bench::ReplayOrBeginRecord("table4")) {
-    return 0;
-  }
   using namespace gmorph;
   using namespace gmorph::bench;
   PrintHeader("Table 4: MTL baselines vs GMorph (accuracy drop < 1%)", "paper Table 4");

@@ -146,6 +146,23 @@ std::string SniffTextKind(const std::string& head) {
   return kind;
 }
 
+// Graph passes with the serializer round trip, then the plan passes over the
+// graph's lowering when the caller installed one.
+DiagnosticList RunGraphAndPlanPasses(const AbsGraph& graph, uint64_t seed,
+                                     const AnalysisOptions& options) {
+  GraphVerifyOptions gopts;
+  gopts.roundtrip = true;
+  DiagnosticList diags = RunGraphPasses(graph, gopts);
+  if (diags.ok() && options.plan_from_graph) {
+    try {
+      diags.Merge(RunPlanPasses(options.plan_from_graph(graph, seed), options.mem));
+    } catch (const CheckError& e) {
+      diags.Add(Diagnostic::FromCheckError(e));
+    }
+  }
+  return diags;
+}
+
 }  // namespace
 
 bool ValidateAnalysisOptions(const AnalysisOptions& options, std::string* error) {
@@ -227,21 +244,8 @@ AnalysisReport AnalyzeFile(const std::string& path, const AnalysisOptions& optio
     // serializer round-trip, then the plan passes when lowering is available.
     report.input_kind = "graph";
     GraphLoadResult loaded = TryLoadGraph(path);
-    if (!loaded.ok()) {
-      ApplySeverityPolicy(options, std::move(loaded.diagnostics), &report);
-      return report;
-    }
-    GraphVerifyOptions gopts;
-    gopts.roundtrip = true;
-    diags = RunGraphPasses(*loaded.graph, gopts);
-    if (diags.ok() && options.plan_from_graph) {
-      try {
-        diags.Merge(RunPlanPasses(options.plan_from_graph(*loaded.graph, options.seed),
-                                  options.mem));
-      } catch (const CheckError& e) {
-        diags.Add(Diagnostic::FromCheckError(e));
-      }
-    }
+    diags = loaded.ok() ? RunGraphAndPlanPasses(*loaded.graph, options.seed, options)
+                        : std::move(loaded.diagnostics);
     ApplySeverityPolicy(options, std::move(diags), &report);
     return report;
   }
@@ -282,42 +286,40 @@ AnalysisReport AnalyzeFile(const std::string& path, const AnalysisOptions& optio
           path + " is neither a gmorph artifact nor a config: " + e.what();
       return report;
     }
-    const uint64_t seed = static_cast<uint64_t>(config.GetInt("seed", 42));
-    AbsGraph graph;
-    const std::string graph_path = config.GetString("input_graph", "");
-    if (!graph_path.empty()) {
-      GraphLoadResult loaded = TryLoadGraph(graph_path);
-      if (!loaded.ok()) {
-        ApplySeverityPolicy(options, std::move(loaded.diagnostics), &report);
-        return report;
-      }
-      graph = std::move(*loaded.graph);
-    } else {
-      const int bench_index = static_cast<int>(config.GetInt("benchmark", 1));
-      BenchmarkScale scale;
-      scale.train_size = 1;  // datasets are unused here; keep it cheap
-      scale.test_size = 1;
-      scale.cnn_width = config.GetInt("cnn_width", 8);
-      BenchmarkDef def = MakeBenchmark(bench_index, scale, seed);
-      std::vector<ModelSpec> specs;
-      for (const auto& task : def.tasks) {
-        specs.push_back(task.model);
-      }
-      graph = ParseModelSpecs(specs);
-    }
-    GraphVerifyOptions gopts;
-    gopts.roundtrip = true;
-    diags = RunGraphPasses(graph, gopts);
-    if (diags.ok() && options.plan_from_graph) {
-      try {
-        diags.Merge(RunPlanPasses(options.plan_from_graph(graph, seed), options.mem));
-      } catch (const CheckError& e) {
-        diags.Add(Diagnostic::FromCheckError(e));
-      }
-    }
+    ConfiguredGraph configured = LoadConfiguredGraph(config);
+    diags = configured.ok()
+                ? RunGraphAndPlanPasses(*configured.graph,
+                                        static_cast<uint64_t>(config.GetInt("seed", 42)), options)
+                : std::move(configured.diagnostics);
   }
   ApplySeverityPolicy(options, std::move(diags), &report);
   return report;
+}
+
+ConfiguredGraph LoadConfiguredGraph(const Config& config) {
+  ConfiguredGraph out;
+  const int bench_index = static_cast<int>(config.GetInt("benchmark", 1));
+  const std::string graph_path = config.GetString("input_graph", "");
+  if (!graph_path.empty()) {
+    GraphLoadResult loaded = TryLoadGraph(graph_path);
+    out.graph = std::move(loaded.graph);
+    out.diagnostics = std::move(loaded.diagnostics);
+    out.label = "fused graph " + graph_path + " (benchmark B" + std::to_string(bench_index) + ")";
+    return out;
+  }
+  BenchmarkScale scale = BenchmarkScaleFromConfig(config);
+  scale.train_size = 1;  // datasets are unused here; keep materialization cheap
+  scale.test_size = 1;
+  const BenchmarkDef def =
+      MakeBenchmark(bench_index, scale, static_cast<uint64_t>(config.GetInt("seed", 42)));
+  std::vector<ModelSpec> specs;
+  for (const auto& task : def.tasks) {
+    specs.push_back(task.model);
+  }
+  out.graph = ParseModelSpecs(specs);
+  out.label = "unfused benchmark B" + std::to_string(bench_index) + " (" +
+              std::to_string(def.tasks.size()) + " tasks)";
+  return out;
 }
 
 std::string RenderAnalysisText(const AnalysisReport& report) {

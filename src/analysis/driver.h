@@ -30,9 +30,11 @@
 #define GMORPH_SRC_ANALYSIS_DRIVER_H_
 
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "src/common/config.h"
 #include "src/common/diagnostics.h"
 #include "src/analysis/graph_verifier.h"
 #include "src/analysis/mem_analysis.h"
@@ -87,6 +89,19 @@ void ApplySeverityPolicy(const AnalysisOptions& options, DiagnosticList diags,
 
 // Full driver: sniff, run passes, apply policy.
 AnalysisReport AnalyzeFile(const std::string& path, const AnalysisOptions& options);
+
+// The graph a search config names: the fused graph saved at `input_graph`
+// (read through TryLoadGraph, so a bad file keeps its diagnostics), else the
+// unfused multi-task graph of benchmark `benchmark` at the config's
+// `cnn_width` and `seed`. --verify's config branch and every config-driven
+// CLI mode build their graph here.
+struct ConfiguredGraph {
+  std::optional<AbsGraph> graph;  // engaged only when diagnostics has no errors
+  DiagnosticList diagnostics;
+  std::string label;  // one-line description for banners
+  bool ok() const { return graph.has_value(); }
+};
+ConfiguredGraph LoadConfiguredGraph(const Config& config);
 
 // Renderers. Text matches the historical --verify output (one diagnostic per
 // line plus a trailer); JSON is a stable machine-readable envelope; SARIF is

@@ -176,4 +176,13 @@ BenchmarkDef MakeBenchmark(int index, const BenchmarkScale& scale, uint64_t seed
   return {};
 }
 
+BenchmarkScale BenchmarkScaleFromConfig(const Config& config) {
+  BenchmarkScale scale;
+  scale.train_size = config.GetInt("train_size", 128);
+  scale.test_size = config.GetInt("test_size", 64);
+  scale.cnn_width = config.GetInt("cnn_width", 8);
+  scale.noise_stddev = static_cast<float>(config.GetDouble("noise_stddev", 1.6));
+  return scale;
+}
+
 }  // namespace gmorph

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/config.h"
 #include "src/data/dataset.h"
 #include "src/data/synthetic.h"
 #include "src/models/zoo.h"
@@ -46,6 +47,10 @@ struct BenchmarkDef {
 
 // Builds benchmark `index` in 1..7. Deterministic given (index, scale, seed).
 BenchmarkDef MakeBenchmark(int index, const BenchmarkScale& scale, uint64_t seed);
+
+// The scale a search config names: `train_size`, `test_size`, `cnn_width`
+// and `noise_stddev`, defaulting to 128, 64, 8 and 1.6.
+BenchmarkScale BenchmarkScaleFromConfig(const Config& config);
 
 inline constexpr int kNumBenchmarks = 7;
 

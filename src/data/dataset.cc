@@ -1,5 +1,6 @@
 #include "src/data/dataset.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/common/check.h"
@@ -27,6 +28,16 @@ Tensor MultiTaskDataset::InputBatch(int64_t start, int64_t count) const {
   std::memcpy(out.data(), inputs.data() + start * row,
               static_cast<size_t>(count * row) * sizeof(float));
   return out;
+}
+
+std::vector<Tensor> MultiTaskDataset::LeadingInputBatches(int num_batches,
+                                                          int64_t batch_size) const {
+  std::vector<Tensor> batches;
+  for (int64_t start = 0; static_cast<int>(batches.size()) < num_batches && start < size();
+       start += batch_size) {
+    batches.push_back(InputBatch(start, std::min(batch_size, size() - start)));
+  }
+  return batches;
 }
 
 std::vector<int> MultiTaskDataset::LabelBatch(size_t t, int64_t start, int64_t count) const {

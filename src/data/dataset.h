@@ -40,6 +40,10 @@ struct MultiTaskDataset {
 
   // Copies rows [start, start+count) of the inputs into a new batch tensor.
   Tensor InputBatch(int64_t start, int64_t count) const;
+  // Up to `num_batches` consecutive batches of `batch_size` rows from the
+  // start of the inputs (the last may be short): int8 calibration's
+  // representative inputs.
+  std::vector<Tensor> LeadingInputBatches(int num_batches, int64_t batch_size) const;
   // Class labels of task `t` for the same rows.
   std::vector<int> LabelBatch(size_t t, int64_t start, int64_t count) const;
   // Multi-hot targets of task `t` for the same rows.

@@ -58,15 +58,8 @@ QuantOutcome ScoreQuantizedEngine(MultiTaskModel& model, const MultiTaskDataset&
   QuantOutcome out;
   FusedEngine engine(&model);
 
-  std::vector<Tensor> calib;
-  const int64_t n = train.size();
-  int64_t start = 0;
-  for (int b = 0; b < options.quant.calib_batches && start < n; ++b) {
-    const int64_t count = std::min<int64_t>(options.quant.calib_batch_size, n - start);
-    calib.push_back(train.InputBatch(start, count));
-    start += count;
-  }
-  const quant::QuantRecipe recipe = engine.Calibrate(calib);
+  const quant::QuantRecipe recipe = engine.Calibrate(
+      train.LeadingInputBatches(options.quant.calib_batches, options.quant.calib_batch_size));
   out.quantized_steps = engine.Quantize(recipe);
   if (out.quantized_steps == 0) {
     return out;  // nothing quantizable; not a mixed-precision candidate

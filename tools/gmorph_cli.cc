@@ -106,11 +106,17 @@
 // The config selects one of the built-in benchmarks (B1-B7), pre-trains its
 // task-specific teachers on the synthetic datasets, runs the search, and
 // writes the fused model (binary graph) and an optional Graphviz rendering.
+//
+// Every mode that takes a config checks it before any work: kernel_threads
+// must be >= 1, and metric, policy and serve_engine must name one of their
+// two values (see --print-default-config); anything else exits 2. A mode flag
+// given the wrong number of arguments prints the usage and exits 2.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -124,10 +130,8 @@
 #include "src/common/logging.h"
 #include "src/common/parallel_for.h"
 #include "src/core/dot_export.h"
-#include "src/core/eval_cache.h"
 #include "src/core/gmorph.h"
 #include "src/core/graph_io.h"
-#include "src/core/model_parser.h"
 #include "src/core/search_checkpoint.h"
 #include "src/data/benchmarks.h"
 #include "src/data/teacher.h"
@@ -146,6 +150,8 @@
 #include "src/serving/server.h"
 
 namespace {
+
+using namespace gmorph;
 
 // Set by the peeled --flight-recorder=<path> flag; ServeMode threads it into
 // ServerOptions so the server dumps the ring at Drain()/Stop() too.
@@ -227,63 +233,105 @@ serve_sla_ms = 0
 serve_swap = true
 )";
 
-// Builds the configured benchmark's multi-task graph, or loads the fused
-// graph named by `input_graph`. Fills a one-line description for banners.
-bool BuildConfiguredGraph(const gmorph::Config& config, gmorph::AbsGraph* graph,
-                          std::string* label) {
-  using namespace gmorph;
-  const int bench_index = static_cast<int>(config.GetInt("benchmark", 1));
-  const std::string graph_path = config.GetString("input_graph", "");
-  if (!graph_path.empty()) {
-    if (!LoadGraph(graph_path, *graph)) {
-      std::fprintf(stderr, "failed to load %s\n", graph_path.c_str());
+uint64_t ConfigSeed(const Config& config) {
+  return static_cast<uint64_t>(config.GetInt("seed", 42));
+}
+
+// Config keys that pick one of two behaviours. Any other value is an error,
+// not a silent fallback to the default.
+struct EnumKey {
+  const char* key;
+  const char* values[2];
+};
+constexpr EnumKey kEnumKeys[] = {
+    {"metric", {"latency", "flops"}},
+    {"policy", {"sa", "random"}},
+    {"serve_engine", {"eager", "fused"}},
+};
+
+// Checks the config keys a typo would otherwise turn into a silent default,
+// before any expensive work, and applies kernel_threads (which overrides
+// GMORPH_NUM_THREADS / hardware concurrency).
+bool ValidateConfig(const Config& config) {
+  if (config.Has("kernel_threads")) {
+    const int kernel_threads = static_cast<int>(config.GetInt("kernel_threads", 0));
+    if (kernel_threads < 1) {
+      std::fprintf(stderr, "config error: kernel_threads must be >= 1, got %d\n",
+                   kernel_threads);
       return false;
     }
-    *label = "fused graph " + graph_path + " (benchmark B" + std::to_string(bench_index) + ")";
-    return true;
+    SetKernelThreads(kernel_threads);
   }
-  BenchmarkScale scale;
-  scale.train_size = 1;  // datasets are unused here; keep materialization cheap
-  scale.test_size = 1;
-  scale.cnn_width = config.GetInt("cnn_width", 8);
-  const uint64_t seed = static_cast<uint64_t>(config.GetInt("seed", 42));
-  BenchmarkDef def = MakeBenchmark(bench_index, scale, seed);
-  std::vector<ModelSpec> specs;
-  for (const auto& task : def.tasks) {
-    specs.push_back(task.model);
+  for (const EnumKey& e : kEnumKeys) {
+    const std::string value = config.GetString(e.key, e.values[0]);
+    if (value != e.values[0] && value != e.values[1]) {
+      std::fprintf(stderr, "config error: %s must be %s or %s, got '%s'\n", e.key, e.values[0],
+                   e.values[1], value.c_str());
+      return false;
+    }
   }
-  *graph = ParseModelSpecs(specs);
-  *label = "unfused benchmark B" + std::to_string(bench_index) + " (" +
-           std::to_string(def.tasks.size()) + " tasks)";
   return true;
 }
 
-// Lowers the configured benchmark (or a saved fused graph) into an execution
-// plan and prints it with a per-step profile. No search, no teacher training.
-int DumpPlanMode(const gmorph::Config& config) {
-  using namespace gmorph;
-  const uint64_t seed = static_cast<uint64_t>(config.GetInt("seed", 42));
-  AbsGraph graph;
+// What every config-driven mode runs on: the configured graph (see
+// LoadConfiguredGraph), materialized with the config's seed and lowered
+// through the FusedEngine planner.
+struct ConfiguredEngine {
   std::string label;
-  if (!BuildConfiguredGraph(config, &graph, &label)) {
-    return 2;
+  std::unique_ptr<MultiTaskModel> model;
+  std::unique_ptr<FusedEngine> engine;
+
+  const AbsGraph& graph() const { return model->graph(); }
+  Tensor ZeroInput(int64_t batch) const {
+    return Tensor::Zeros(graph().node(graph().root()).output_shape.WithBatch(batch));
   }
-  std::printf("plan for %s\n", label.c_str());
+};
 
-  Rng rng(seed);
-  MultiTaskModel model(graph, rng);
-  FusedEngine engine(&model);
-  std::printf("%s\n", engine.DumpPlan().c_str());
+// False (after printing why) when the configured graph cannot be loaded.
+bool LoadConfiguredEngine(const Config& config, ConfiguredEngine* out) {
+  ConfiguredGraph configured = LoadConfiguredGraph(config);
+  if (!configured.ok()) {
+    std::fprintf(stderr, "failed to load %s\n%s", config.GetString("input_graph", "").c_str(),
+                 configured.diagnostics.ToString().c_str());
+    return false;
+  }
+  out->label = std::move(configured.label);
+  Rng rng(ConfigSeed(config));
+  out->model = std::make_unique<MultiTaskModel>(*configured.graph, rng);
+  out->engine = std::make_unique<FusedEngine>(out->model.get());
+  return true;
+}
 
-  const int64_t batch = config.GetInt("batch_size", 1);
-  const int runs = static_cast<int>(config.GetInt("profile_runs", 10));
-  const Shape input_shape = graph.node(graph.root()).output_shape.WithBatch(batch);
-  const Tensor input = Tensor::Zeros(input_shape);
-  engine.Run(input);  // warmup: binds buffers, grows scratch arenas
+// One parsed invocation: the positional arguments after the mode flag, the
+// config file for modes that take one, and the configured engine for modes
+// that run on it.
+struct Invocation {
+  std::vector<std::string> args;
+  Config config;
+  ConfiguredEngine loaded;
+};
+
+// Warms the engine up (binding buffers, growing scratch arenas), then runs
+// it `runs` times on a fresh step profile.
+void ProfileRuns(FusedEngine& engine, const Tensor& input, int runs) {
+  engine.Run(input);
   engine.ResetProfile();
   for (int r = 0; r < runs; ++r) {
     engine.Run(input);
   }
+}
+
+// Lowers the configured benchmark (or a saved fused graph) into an execution
+// plan and prints it with a per-step profile. No search, no teacher training.
+int DumpPlanMode(const Invocation& inv) {
+  const Config& config = inv.config;
+  FusedEngine& engine = *inv.loaded.engine;
+  std::printf("plan for %s\n", inv.loaded.label.c_str());
+  std::printf("%s\n", engine.DumpPlan().c_str());
+
+  const int64_t batch = config.GetInt("batch_size", 1);
+  const int runs = static_cast<int>(config.GetInt("profile_runs", 10));
+  ProfileRuns(engine, inv.loaded.ZeroInput(batch), runs);
   std::printf("per-step profile (batch %lld, %d runs):\n", static_cast<long long>(batch), runs);
   double total_ms = 0.0;
   for (const auto& step : engine.Profile()) {
@@ -298,18 +346,10 @@ int DumpPlanMode(const gmorph::Config& config) {
 // Runs the perf-counter roofline profiler on the configured plan: machine
 // ceilings from the cached/probed artifact, per-step hardware counters, and
 // compute/memory-bound attribution (see usage comment).
-int ProfileMode(const gmorph::Config& config) {
-  using namespace gmorph;
-  const uint64_t seed = static_cast<uint64_t>(config.GetInt("seed", 42));
-  AbsGraph graph;
-  std::string label;
-  if (!BuildConfiguredGraph(config, &graph, &label)) {
-    return 2;
-  }
-  Rng rng(seed);
-  MultiTaskModel model(graph, rng);
-  FusedEngine engine(&model);
-  std::printf("profiling %s (%d plan steps)\n", label.c_str(), engine.num_steps());
+int ProfileMode(const Invocation& inv) {
+  const Config& config = inv.config;
+  FusedEngine& engine = *inv.loaded.engine;
+  std::printf("profiling %s (%d plan steps)\n", inv.loaded.label.c_str(), engine.num_steps());
 
   // The ceilings the steps are attributed against: cached when the artifact
   // was written by this build at this thread count, probed (and saved) else.
@@ -323,14 +363,8 @@ int ProfileMode(const gmorph::Config& config) {
 
   const int64_t batch = config.GetInt("batch_size", 1);
   const int runs = std::max(1, static_cast<int>(config.GetInt("profile_runs", 10)));
-  const Shape input_shape = graph.node(graph.root()).output_shape.WithBatch(batch);
-  const Tensor input = Tensor::Zeros(input_shape);
-  engine.Run(input);  // warmup: binds buffers, grows scratch arenas
   obs::EnableStepCounters();
-  engine.ResetProfile();
-  for (int r = 0; r < runs; ++r) {
-    engine.Run(input);
-  }
+  ProfileRuns(engine, inv.loaded.ZeroInput(batch), runs);
   obs::DisableStepCounters();
 
   const RooflineReport report = BuildRooflineReport(engine.Profile(), ceilings, batch, runs);
@@ -353,17 +387,9 @@ int ProfileMode(const gmorph::Config& config) {
 
 // Benchmarks the applicable solvers on every kernel shape the configured
 // plan executes and records the winners in the tuning DB (see usage comment).
-int AutotuneMode(const gmorph::Config& config) {
-  using namespace gmorph;
-  const uint64_t seed = static_cast<uint64_t>(config.GetInt("seed", 42));
-  AbsGraph graph;
-  std::string label;
-  if (!BuildConfiguredGraph(config, &graph, &label)) {
-    return 2;
-  }
-  Rng rng(seed);
-  MultiTaskModel model(graph, rng);
-  FusedEngine engine(&model);
+int AutotuneMode(const Invocation& inv) {
+  const Config& config = inv.config;
+  FusedEngine& engine = *inv.loaded.engine;
 
   // Tune both the per-sample descriptors (what plan annotation resolves) and
   // the configured batch (what Run() bindings resolve); convs are
@@ -382,9 +408,9 @@ int AutotuneMode(const gmorph::Config& config) {
 
   const std::string db_path = kernels::ResolveTuneDbPath(config.GetString("tune_db", ""));
   auto db = std::make_shared<kernels::TuneDb>();
-  const kernels::TuneDb::LoadStats loaded = db->Load(db_path);
-  std::printf("autotuning %s: %zu shapes, db %s (%d prior entries)\n", label.c_str(),
-              descs.size(), db_path.c_str(), loaded.entries);
+  const kernels::TuneDb::LoadStats stats = db->Load(db_path);
+  std::printf("autotuning %s: %zu shapes, db %s (%d prior entries)\n", inv.loaded.label.c_str(),
+              descs.size(), db_path.c_str(), stats.entries);
 
   kernels::AutotuneOptions opts;
   opts.warmup = static_cast<int>(config.GetInt("autotune_warmup", 1));
@@ -409,52 +435,34 @@ int AutotuneMode(const gmorph::Config& config) {
   return 0;
 }
 
+// The first `quant_calib_batches` x `quant_calib_batch_size` rows of `train`:
+// the representative inputs int8 calibration runs on.
+std::vector<Tensor> CalibrationBatches(const Config& config, const MultiTaskDataset& train) {
+  return train.LeadingInputBatches(static_cast<int>(config.GetInt("quant_calib_batches", 2)),
+                                   config.GetInt("quant_calib_batch_size", 16));
+}
+
 // Calibrates the configured benchmark's plan on representative inputs, writes
 // the quantization recipe, applies it, and reports the f32 vs int8 latency
 // and per-task test scores (see usage comment).
-int QuantizeMode(const gmorph::Config& config) {
-  using namespace gmorph;
-  const int bench_index = static_cast<int>(config.GetInt("benchmark", 1));
-  const uint64_t seed = static_cast<uint64_t>(config.GetInt("seed", 42));
-  BenchmarkScale scale;
-  scale.train_size = config.GetInt("train_size", 128);
-  scale.test_size = config.GetInt("test_size", 64);
-  scale.cnn_width = config.GetInt("cnn_width", 8);
-  scale.noise_stddev = static_cast<float>(config.GetDouble("noise_stddev", 1.6));
-  BenchmarkDef def = MakeBenchmark(bench_index, scale, seed);
-
+int QuantizeMode(const Invocation& inv) {
+  const Config& config = inv.config;
   // The plan to quantize: a fused graph saved by a previous search (with its
   // trained weights), or the unfused benchmark.
-  AbsGraph graph;
-  std::string label;
-  if (!BuildConfiguredGraph(config, &graph, &label)) {
-    return 2;
-  }
-  Rng rng(seed);
-  MultiTaskModel model(graph, rng);
-  FusedEngine engine(&model);
-  std::printf("quantizing %s (%d plan steps)\n", label.c_str(), engine.num_steps());
+  FusedEngine& engine = *inv.loaded.engine;
+  const BenchmarkDef def =
+      MakeBenchmark(static_cast<int>(config.GetInt("benchmark", 1)),
+                    BenchmarkScaleFromConfig(config), ConfigSeed(config));
+  std::printf("quantizing %s (%d plan steps)\n", inv.loaded.label.c_str(), engine.num_steps());
 
   // f32 baseline through the same engine, so the reported drop isolates
   // exactly what int8 adds.
   const int64_t batch = config.GetInt("batch_size", 32);
   const std::vector<double> f32_scores = EngineEvaluateMultiTask(engine, def.test, batch);
-  const Shape input_shape = graph.node(graph.root()).output_shape.WithBatch(batch);
-  const Tensor input = Tensor::Zeros(input_shape);
+  const Tensor input = inv.loaded.ZeroInput(batch);
   const double f32_ms = MedianTimedMs([&] { engine.Run(input); }, 1, 5);
 
-  // Calibrate on slices of the representative (train) inputs.
-  std::vector<Tensor> calib;
-  const int calib_batches = static_cast<int>(config.GetInt("quant_calib_batches", 2));
-  const int64_t calib_batch = config.GetInt("quant_calib_batch_size", 16);
-  int64_t start = 0;
-  for (int b = 0; b < calib_batches && start < def.train.size(); ++b) {
-    const int64_t count = std::min<int64_t>(calib_batch, def.train.size() - start);
-    calib.push_back(def.train.InputBatch(start, count));
-    start += count;
-  }
-  const quant::QuantRecipe recipe = engine.Calibrate(calib);
-
+  const quant::QuantRecipe recipe = engine.Calibrate(CalibrationBatches(config, def.train));
   const std::string recipe_path = config.GetString("quant_recipe", "gmorph.quantrecipe");
   std::string error;
   if (!quant::SaveQuantRecipe(recipe, recipe_path, &error)) {
@@ -484,12 +492,11 @@ int QuantizeMode(const gmorph::Config& config) {
 
 // Lints one file through the unified analysis driver (see usage comment).
 // `args` is everything after --verify: flags plus one input path.
-int VerifyMode(const std::vector<std::string>& args) {
-  using namespace gmorph;
+int VerifyMode(const Invocation& inv) {
   AnalysisOptions options;
   AnalysisFormat format = AnalysisFormat::kText;
   std::string path;
-  for (const std::string& arg : args) {
+  for (const std::string& arg : inv.args) {
     if (arg == "--list-rules") {
       std::fputs(ListRulesText().c_str(), stdout);
       return 0;
@@ -546,38 +553,21 @@ int VerifyMode(const std::vector<std::string>& args) {
 // analysis driver lints. `export_quantized = true` calibrates on a small
 // representative split and applies int8 first, so the exported plan carries
 // the mixed-precision step dtypes.
-int ExportPlanMode(const gmorph::Config& config, const std::string& out_path) {
-  using namespace gmorph;
-  const uint64_t seed = static_cast<uint64_t>(config.GetInt("seed", 42));
-  AbsGraph graph;
-  std::string label;
-  if (!BuildConfiguredGraph(config, &graph, &label)) {
-    return 2;
-  }
-  Rng rng(seed);
-  MultiTaskModel model(graph, rng);
-  FusedEngine engine(&model);
+int ExportPlanMode(const Invocation& inv) {
+  const Config& config = inv.config;
+  const std::string& out_path = inv.args[1];
+  FusedEngine& engine = *inv.loaded.engine;
   int quantized = 0;
   if (config.GetBool("export_quantized", false)) {
-    const int calib_batches = static_cast<int>(config.GetInt("quant_calib_batches", 2));
-    const int64_t calib_batch = config.GetInt("quant_calib_batch_size", 16);
     // Calibration needs representative inputs; materialize just enough of the
     // benchmark's train split to fill the calibration batches.
-    BenchmarkScale scale;
-    scale.train_size = std::max<int64_t>(1, calib_batches * calib_batch);
+    BenchmarkScale scale = BenchmarkScaleFromConfig(config);
+    scale.train_size = std::max<int64_t>(1, config.GetInt("quant_calib_batches", 2) *
+                                                config.GetInt("quant_calib_batch_size", 16));
     scale.test_size = 1;
-    scale.cnn_width = config.GetInt("cnn_width", 8);
-    scale.noise_stddev = static_cast<float>(config.GetDouble("noise_stddev", 1.6));
-    const int bench_index = static_cast<int>(config.GetInt("benchmark", 1));
-    BenchmarkDef def = MakeBenchmark(bench_index, scale, seed);
-    std::vector<Tensor> calib;
-    int64_t start = 0;
-    for (int b = 0; b < calib_batches && start < def.train.size(); ++b) {
-      const int64_t count = std::min<int64_t>(calib_batch, def.train.size() - start);
-      calib.push_back(def.train.InputBatch(start, count));
-      start += count;
-    }
-    quantized = engine.Quantize(engine.Calibrate(calib));
+    const BenchmarkDef def =
+        MakeBenchmark(static_cast<int>(config.GetInt("benchmark", 1)), scale, ConfigSeed(config));
+    quantized = engine.Quantize(engine.Calibrate(CalibrationBatches(config, def.train)));
     if (quantized == 0) {
       std::fprintf(stderr, "export-plan: no step of the plan is quantizable\n");
       return 2;
@@ -593,7 +583,7 @@ int ExportPlanMode(const gmorph::Config& config, const std::string& out_path) {
     std::fprintf(stderr, "export-plan: failed writing %s\n", out_path.c_str());
     return 2;
   }
-  std::printf("exported plan for %s (%d step(s), %d int8) -> %s\n", label.c_str(),
+  std::printf("exported plan for %s (%d step(s), %d int8) -> %s\n", inv.loaded.label.c_str(),
               engine.num_steps(), quantized, out_path.c_str());
   return 0;
 }
@@ -601,14 +591,10 @@ int ExportPlanMode(const gmorph::Config& config, const std::string& out_path) {
 // Runs the real threaded server on the configured graph under open-loop
 // Poisson load, with an optional mid-run hot-swap (see usage comment). Exits
 // nonzero when any admitted request was lost — the bench/CI drop check.
-int ServeMode(const gmorph::Config& config) {
-  using namespace gmorph;
-  AbsGraph graph;
-  std::string label;
-  if (!BuildConfiguredGraph(config, &graph, &label)) {
-    return 2;
-  }
-  const uint64_t seed = static_cast<uint64_t>(config.GetInt("seed", 42));
+int ServeMode(const Invocation& inv) {
+  const Config& config = inv.config;
+  const AbsGraph& graph = inv.loaded.graph();
+  const uint64_t seed = ConfigSeed(config);
   const int num_replicas = static_cast<int>(config.GetInt("serve_replicas", 2));
   const int max_batch = static_cast<int>(config.GetInt("serve_max_batch", 8));
   const double qps = config.GetDouble("serve_qps", 500.0);
@@ -621,7 +607,7 @@ int ServeMode(const gmorph::Config& config) {
   GMORPH_CHECK(num_replicas >= 1 && max_batch >= 1 && num_requests >= 1 && qps > 0.0);
 
   std::printf("serving %s: %d replica(s), max_batch %d, %.0f qps x %d requests%s\n",
-              label.c_str(), num_replicas, max_batch, qps, num_requests,
+              inv.loaded.label.c_str(), num_replicas, max_batch, qps, num_requests,
               do_swap ? ", hot-swap mid-run" : "");
   std::vector<EngineReplica> replicas;
   for (int i = 0; i < num_replicas; ++i) {
@@ -692,133 +678,15 @@ int ServeMode(const gmorph::Config& config) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  using namespace gmorph;
-  // Observability flags are peeled off before mode parsing so they combine
-  // with every mode; the env vars cover processes the CLI spawns indirectly.
-  obs::InitTracingFromEnv();
-  obs::InitMetricsFromEnv();
-  std::vector<char*> args;
-  args.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
-      obs::WriteTraceJsonAtExit(argv[++i]);
-    } else if (std::strcmp(argv[i], "--metrics") == 0 && i + 1 < argc) {
-      obs::WriteMetricsJsonAtExit(argv[++i]);
-    } else if (std::strncmp(argv[i], "--flight-recorder=", 18) == 0) {
-      g_flight_recorder_path = argv[i] + 18;
-      WriteFlightRecorderJsonAtExit(g_flight_recorder_path);
-    } else {
-      args.push_back(argv[i]);
-    }
-  }
-  argc = static_cast<int>(args.size());
-  argv = args.data();
-  if (argc == 2 && std::strcmp(argv[1], "--print-default-config") == 0) {
-    std::fputs(kDefaultConfig, stdout);
-    return 0;
-  }
-  const bool dump_plan = argc == 3 && std::strcmp(argv[1], "--dump-plan") == 0;
-  const bool profile = argc == 3 && std::strcmp(argv[1], "--profile") == 0;
-  const bool autotune = argc == 3 && std::strcmp(argv[1], "--autotune") == 0;
-  const bool quantize = argc == 3 && std::strcmp(argv[1], "--quantize") == 0;
-  const bool verify = argc >= 2 && std::strcmp(argv[1], "--verify") == 0;
-  const bool resume = argc == 4 && std::strcmp(argv[1], "--resume") == 0;
-  const bool export_plan = argc == 4 && std::strcmp(argv[1], "--export-plan") == 0;
-  const bool serve = argc == 3 && std::strcmp(argv[1], "--serve") == 0;
-  if (argc != 2 && !dump_plan && !profile && !autotune && !quantize && !verify && !resume &&
-      !export_plan && !serve) {
-    std::fprintf(stderr,
-                 "usage: %s [--trace <out.json>] [--metrics <out.json>]\n"
-                 "                [--flight-recorder=<out.json>] <config-file>\n"
-                 "       %s --resume <checkpoint> <config-file>\n"
-                 "       %s --dump-plan <config-file>\n"
-                 "       %s --profile <config-file>\n"
-                 "       %s --autotune <config-file>\n"
-                 "       %s --quantize <config-file>\n"
-                 "       %s --export-plan <config-file> <out.plan>\n"
-                 "       %s --serve <config-file>\n"
-                 "       %s --verify [--list-rules] [--format=text|json|sarif]\n"
-                 "                [--Werror=<rule|prefix>] [--Wno=<rule|prefix>]\n"
-                 "                [--baseline=<file>]\n"
-                 "                <graph|plan|config|evalcache|checkpoint|tunedb|quantrecipe|"
-                 "machine>\n"
-                 "       %s --print-default-config > gmorph.cfg\n",
-                 argv[0], argv[0], argv[0], argv[0], argv[0], argv[0], argv[0], argv[0],
-                 argv[0], argv[0]);
-    return 2;
-  }
-  if (verify) {
-    try {
-      return VerifyMode(std::vector<std::string>(argv + 2, argv + argc));
-    } catch (const CheckError& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-      return 2;
-    }
-  }
-
-  Config config;
-  try {
-    config = Config::FromFile(
-        argv[resume                                                                     ? 3
-             : (dump_plan || profile || autotune || quantize || export_plan || serve) ? 2
-                                                                                        : 1]);
-  } catch (const CheckError& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 2;
-  }
-
-  // Load the checkpoint before the (expensive) teacher pre-training so a
-  // corrupt file fails fast with its diagnostics.
-  SearchCheckpoint checkpoint;
-  if (resume) {
-    CheckpointLoadResult loaded = TryLoadCheckpoint(argv[2]);
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "cannot resume from %s:\n%s", argv[2],
-                   loaded.diagnostics.ToString().c_str());
-      return 2;
-    }
-    checkpoint = std::move(*loaded.checkpoint);
-  }
-
-  // kernel_threads overrides GMORPH_NUM_THREADS / hardware concurrency.
-  // Validated before the (expensive) teacher pre-training below.
-  if (config.Has("kernel_threads")) {
-    const int kernel_threads = static_cast<int>(config.GetInt("kernel_threads", 0));
-    if (kernel_threads < 1) {
-      std::fprintf(stderr, "config error: kernel_threads must be >= 1, got %d\n",
-                   kernel_threads);
-      return 2;
-    }
-    SetKernelThreads(kernel_threads);
-  }
-
-  if (dump_plan || profile || autotune || quantize || export_plan || serve) {
-    try {
-      return dump_plan   ? DumpPlanMode(config)
-             : profile   ? ProfileMode(config)
-             : autotune  ? AutotuneMode(config)
-             : quantize  ? QuantizeMode(config)
-             : serve     ? ServeMode(config)
-                         : ExportPlanMode(config, argv[3]);
-    } catch (const CheckError& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-      return 2;
-    }
-  }
-
+// Pre-trains the configured benchmark's teachers, runs (or, given a
+// checkpoint, resumes) the search, and writes the fused model.
+int Search(const Config& config, const SearchCheckpoint* checkpoint,
+           const std::string& checkpoint_path) {
   const int bench_index = static_cast<int>(config.GetInt("benchmark", 1));
-  BenchmarkScale scale;
-  scale.train_size = config.GetInt("train_size", 128);
-  scale.test_size = config.GetInt("test_size", 64);
-  scale.cnn_width = config.GetInt("cnn_width", 8);
-  scale.noise_stddev = static_cast<float>(config.GetDouble("noise_stddev", 1.6));
-  const uint64_t seed = static_cast<uint64_t>(config.GetInt("seed", 42));
+  const uint64_t seed = ConfigSeed(config);
 
   std::printf("building benchmark B%d and pre-training teachers...\n", bench_index);
-  BenchmarkDef def = MakeBenchmark(bench_index, scale, seed);
+  BenchmarkDef def = MakeBenchmark(bench_index, BenchmarkScaleFromConfig(config), seed);
   Rng rng(seed);
   std::vector<std::unique_ptr<TaskModel>> teachers;
   std::vector<TaskModel*> ptrs;
@@ -866,24 +734,25 @@ int main(int argc, char** argv) {
   if (options.verbose) {
     SetLogLevel(LogLevel::kInfo);
   }
-  if (resume && checkpoint.options_hash != SearchOptionsHash(options)) {
+  if (checkpoint != nullptr && checkpoint->options_hash != SearchOptionsHash(options)) {
     std::fprintf(stderr,
                  "cannot resume from %s: the checkpoint was written under different search "
                  "options (hash %016llx, config gives %016llx)\n",
-                 argv[2], static_cast<unsigned long long>(checkpoint.options_hash),
+                 checkpoint_path.c_str(),
+                 static_cast<unsigned long long>(checkpoint->options_hash),
                  static_cast<unsigned long long>(SearchOptionsHash(options)));
     return 2;
   }
 
-  if (resume) {
-    std::printf("resuming at iteration %d of %d (drop < %.1f%%)...\n", checkpoint.next_iteration,
+  if (checkpoint != nullptr) {
+    std::printf("resuming at iteration %d of %d (drop < %.1f%%)...\n", checkpoint->next_iteration,
                 options.iterations, options.accuracy_drop_threshold * 100);
   } else {
     std::printf("searching (%d iterations, drop < %.1f%%)...\n", options.iterations,
                 options.accuracy_drop_threshold * 100);
   }
   GMorph gmorph(ptrs, &def.train, &def.test, options);
-  GMorphResult result = resume ? gmorph.Resume(checkpoint) : gmorph.Run();
+  GMorphResult result = checkpoint != nullptr ? gmorph.Resume(*checkpoint) : gmorph.Run();
 
   std::printf("\nsearch finished in %.1fs: %.2f ms -> %.2f ms (%.2fx), FLOPs %.2fx\n",
               result.search_seconds, result.original_latency_ms, result.best_latency_ms,
@@ -927,4 +796,122 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+int SearchMode(const Invocation& inv) { return Search(inv.config, nullptr, ""); }
+
+// Loads the checkpoint before the (expensive) teacher pre-training so a
+// corrupt file fails fast with its diagnostics.
+int ResumeMode(const Invocation& inv) {
+  const std::string& path = inv.args[0];
+  CheckpointLoadResult loaded = TryLoadCheckpoint(path);
+  if (!loaded.ok()) {
+    std::fprintf(stderr, "cannot resume from %s:\n%s", path.c_str(),
+                 loaded.diagnostics.ToString().c_str());
+    return 2;
+  }
+  return Search(inv.config, &*loaded.checkpoint, path);
+}
+
+int PrintDefaultConfigMode(const Invocation&) {
+  std::fputs(kDefaultConfig, stdout);
+  return 0;
+}
+
+// One row per invocation form; the argument checks, the config parsing and
+// the usage text all come from this table.
+struct Mode {
+  const char* flag;   // argv[1]; empty for the default (search) mode
+  int num_args;       // positional args after the flag; -1 takes any
+  int config_arg;     // index of the config-file positional; -1 for none
+  bool needs_engine;  // runs on the configured engine (LoadConfiguredEngine)
+  int (*run)(const Invocation&);
+  const char* usage;  // the invocation after the program name
+};
+
+constexpr Mode kModes[] = {
+    {"", 1, 0, false, SearchMode,
+     "[--trace <out.json>] [--metrics <out.json>]\n"
+     "                [--flight-recorder=<out.json>] <config-file>"},
+    {"--resume", 2, 1, false, ResumeMode, "--resume <checkpoint> <config-file>"},
+    {"--dump-plan", 1, 0, true, DumpPlanMode, "--dump-plan <config-file>"},
+    {"--profile", 1, 0, true, ProfileMode, "--profile <config-file>"},
+    {"--autotune", 1, 0, true, AutotuneMode, "--autotune <config-file>"},
+    {"--quantize", 1, 0, true, QuantizeMode, "--quantize <config-file>"},
+    {"--export-plan", 2, 0, true, ExportPlanMode, "--export-plan <config-file> <out.plan>"},
+    {"--serve", 1, 0, true, ServeMode, "--serve <config-file>"},
+    {"--verify", -1, -1, false, VerifyMode,
+     "--verify [--list-rules] [--format=text|json|sarif]\n"
+     "                [--Werror=<rule|prefix>] [--Wno=<rule|prefix>]\n"
+     "                [--baseline=<file>]\n"
+     "                <graph|plan|config|evalcache|checkpoint|tunedb|quantrecipe|machine>"},
+    {"--print-default-config", 0, -1, false, PrintDefaultConfigMode,
+     "--print-default-config > gmorph.cfg"},
+};
+
+// The mode `args` (everything after the program name) invokes, or null when
+// they fit no row. A first argument that is no mode flag is a config file.
+const Mode* FindMode(const std::vector<std::string>& args) {
+  if (args.empty()) {
+    return nullptr;
+  }
+  for (const Mode& mode : kModes) {
+    if (*mode.flag != '\0' && args[0] == mode.flag) {
+      const bool fits = mode.num_args < 0 || static_cast<int>(args.size()) == mode.num_args + 1;
+      return fits ? &mode : nullptr;
+    }
+  }
+  return args.size() == 1 ? &kModes[0] : nullptr;
+}
+
+int Usage(const char* program) {
+  const char* prefix = "usage: ";
+  for (const Mode& mode : kModes) {
+    std::fprintf(stderr, "%s%s %s\n", prefix, program, mode.usage);
+    prefix = "       ";
+  }
+  return 2;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Observability flags are peeled off before mode parsing so they combine
+  // with every mode; the env vars cover processes the CLI spawns indirectly.
+  obs::InitTracingFromEnv();
+  obs::InitMetricsFromEnv();
+  std::vector<std::string> args;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
+      obs::WriteTraceJsonAtExit(argv[++i]);
+    } else if (std::strcmp(argv[i], "--metrics") == 0 && i + 1 < argc) {
+      obs::WriteMetricsJsonAtExit(argv[++i]);
+    } else if (std::strncmp(argv[i], "--flight-recorder=", 18) == 0) {
+      g_flight_recorder_path = argv[i] + 18;
+      WriteFlightRecorderJsonAtExit(g_flight_recorder_path);
+    } else {
+      args.emplace_back(argv[i]);
+    }
+  }
+  const Mode* mode = FindMode(args);
+  if (mode == nullptr) {
+    return Usage(argv[0]);
+  }
+  Invocation inv;
+  inv.args.assign(args.begin() + (*mode->flag != '\0' ? 1 : 0), args.end());
+  try {
+    if (mode->config_arg >= 0) {
+      inv.config = Config::FromFile(inv.args[static_cast<size_t>(mode->config_arg)]);
+      if (!ValidateConfig(inv.config)) {
+        return 2;
+      }
+    }
+    if (mode->needs_engine && !LoadConfiguredEngine(inv.config, &inv.loaded)) {
+      return 2;
+    }
+    return mode->run(inv);
+  } catch (const CheckError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
 }
